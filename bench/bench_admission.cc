@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "eval/harness.h"
 #include "gen/synthetic_kg.h"
 #include "service/query_service.h"
@@ -47,14 +48,6 @@ struct RunResult {
   double rejected_p95_ms = 0.0;  ///< how fast "no" is said
   bool gate_ok = true;
 };
-
-double Percentile(std::vector<double>* values, double q) {
-  if (values->empty()) return 0.0;
-  std::sort(values->begin(), values->end());
-  const size_t rank = static_cast<size_t>(
-      q * static_cast<double>(values->size() - 1));
-  return (*values)[rank];
-}
 
 RunResult RunConfig(const GeneratedDataset& ds,
                     const std::vector<QueryWithGold>& workload,

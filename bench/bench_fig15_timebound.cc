@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "baselines/adapters.h"
-#include "core/time_bounded.h"
+#include "core/engine.h"
 #include "eval/harness.h"
 #include "eval/reporter.h"
 
@@ -42,7 +42,7 @@ int Run() {
 
   TimeBoundedOptions toptions;
   toptions.per_match_assembly_micros =
-      TbqEngine::CalibrateAssemblyCostMicros(SystemClock::Default());
+      SgqEngine::CalibrateAssemblyCostMicros(SystemClock::Default());
   toptions.stop_check_interval = 16;  // sub-ms bounds need fine checks
 
   Table table({"Bound(ms)", "Precision", "Recall", "F1", "Min(ms)",

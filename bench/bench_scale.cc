@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "api/session.h"
+#include "bench_util.h"
 #include "core/engine.h"
 #include "gen/insight_workload.h"
 #include "gen/scale_kg.h"
@@ -46,14 +47,6 @@ struct ScaleResult {
   double p50_ms = 0.0;
   double p95_ms = 0.0;
 };
-
-double Percentile(std::vector<double>* values, double q) {
-  if (values->empty()) return 0.0;
-  std::sort(values->begin(), values->end());
-  const size_t rank =
-      static_cast<size_t>(q * static_cast<double>(values->size() - 1));
-  return (*values)[rank];
-}
 
 std::vector<std::pair<uint32_t, double>> Fingerprint(
     const QueryResponse& response) {

@@ -30,6 +30,7 @@
 
 #include "api/protocol.h"
 #include "api/session.h"
+#include "bench_util.h"
 #include "eval/harness.h"
 #include "gen/synthetic_kg.h"
 #include "server/client.h"
@@ -62,14 +63,6 @@ struct LoadPointResult {
   double p99_ms = 0.0;
   double max_ms = 0.0;
 };
-
-double Percentile(std::vector<double>* values, double q) {
-  if (values->empty()) return 0.0;
-  std::sort(values->begin(), values->end());
-  const size_t rank =
-      static_cast<size_t>(q * static_cast<double>(values->size() - 1));
-  return (*values)[rank];
-}
 
 /// One pre-scheduled request on one connection.
 struct ScheduledRequest {

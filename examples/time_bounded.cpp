@@ -6,7 +6,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "core/time_bounded.h"
+#include "core/engine.h"
 #include "eval/metrics.h"
 #include "gen/workload.h"
 
@@ -30,7 +30,7 @@ int main() {
   std::printf("query: %s, |gold| = %zu\n", q.description.c_str(),
               q.gold.size());
 
-  TbqEngine engine(ds.graph.get(), ds.space.get(), &ds.library);
+  SgqEngine engine(ds.graph.get(), ds.space.get(), &ds.library);
 
   // Reference answers with a generous bound (M, the optimal answer set).
   TimeBoundedOptions options;
@@ -49,7 +49,7 @@ int main() {
     options.time_bound_micros = bound;
     auto result = engine.Query(q.query, options);
     if (!result.ok()) continue;
-    const TimeBoundedResult& r = result.ValueOrDie();
+    const QueryResult& r = result.ValueOrDie();
     std::vector<NodeId> answers = r.AnswerIds();
     Prf prf = ComputePrf(answers, q.gold);
     std::printf("%10lld %10zu %10.3f %10.3f %8.2f%s\n",

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/time_bounded.h"
 #include "service/admission.h"
 #include "util/json.h"
 

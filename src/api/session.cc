@@ -347,38 +347,24 @@ Result<QueryResponse> KgSession::Execute(const QueryRequest& request,
   // a KG_CHECK inside the engine.
   KG_RETURN_NOT_OK(query->Validate());
 
-  if (request.mode == QueryMode::kSgq) {
-    EngineOptions engine_options = ToEngineOptions(request.options);
-    engine_options.deadline_micros = deadline_micros;
-    engine_options.cancel = cancel;
-    engine_options.view = &view;
-    Result<QueryResult> result =
-        pre_admitted
-            ? dataset->service->QueryAdmitted(*query, engine_options)
-            : dataset->service->Query(*query, engine_options,
-                                      EffectivePriority(request));
-    KG_RETURN_NOT_OK(result.status());
-    const QueryResult& r = result.ValueOrDie();
-    FillAnswers(view, r.matches, &response);
-    FillStats(r.subquery_stats, r.ta_stats, &response.stats);
-    response.timings.engine_ms = r.elapsed_ms;
-  } else {
-    TimeBoundedOptions tbq_options = ToTimeBoundedOptions(request.options);
-    tbq_options.deadline_micros = deadline_micros;
-    tbq_options.cancel = cancel;
-    tbq_options.view = &view;
-    Result<TimeBoundedResult> result =
-        pre_admitted ? dataset->service->QueryTimeBoundedAdmitted(
-                           *query, tbq_options)
-                     : dataset->service->QueryTimeBounded(
-                           *query, tbq_options, EffectivePriority(request));
-    KG_RETURN_NOT_OK(result.status());
-    const TimeBoundedResult& r = result.ValueOrDie();
-    FillAnswers(view, r.matches, &response);
-    FillStats(r.subquery_stats, r.ta_stats, &response.stats);
-    response.stopped_by_time = r.stopped_by_time;
-    response.timings.engine_ms = r.elapsed_ms;
-  }
+  // The mode only picks the options type; both run the same pipeline.
+  auto run = [&](auto options) {
+    options.deadline_micros = deadline_micros;
+    options.cancel = cancel;
+    options.view = &view;
+    return pre_admitted ? dataset->service->QueryAdmitted(*query, options)
+                        : dataset->service->Query(*query, options,
+                                                  EffectivePriority(request));
+  };
+  Result<QueryResult> result = request.mode == QueryMode::kSgq
+                                   ? run(ToEngineOptions(request.options))
+                                   : run(ToTimeBoundedOptions(request.options));
+  KG_RETURN_NOT_OK(result.status());
+  const QueryResult& r = result.ValueOrDie();
+  FillAnswers(view, r.matches, &response);
+  FillStats(r.subquery_stats, r.ta_stats, &response.stats);
+  response.stopped_by_time = r.stopped_by_time;
+  response.timings.engine_ms = r.elapsed_ms;
   response.timings.total_ms = total.ElapsedMillis();
   return response;
 }

@@ -28,9 +28,9 @@ Result<std::vector<NodeId>> TbqMethod::QueryTopK(const QueryGraph& query,
                                                  size_t k) const {
   TimeBoundedOptions options = options_;
   options.k = k;
-  Result<TimeBoundedResult> r = engine_.Query(query, options);
+  Result<QueryResult> r = engine_.Query(query, options);
   if (!r.ok()) return r.status();
-  const TimeBoundedResult& result = r.ValueOrDie();
+  const QueryResult& result = r.ValueOrDie();
   return ExtractAnswers(result.matches, result.decomposition, answer_node);
 }
 

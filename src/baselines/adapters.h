@@ -5,7 +5,6 @@
 
 #include "baselines/method.h"
 #include "core/engine.h"
-#include "core/time_bounded.h"
 
 namespace kgsearch {
 
@@ -46,7 +45,7 @@ class TbqMethod : public GraphQueryMethod {
 
  private:
   std::string label_;
-  TbqEngine engine_;
+  SgqEngine engine_;
   TimeBoundedOptions options_;
 };
 

@@ -1,8 +1,10 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <unordered_set>
 
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace kgsearch {
@@ -56,18 +58,188 @@ std::vector<NodeId> ExtractAnswers(const std::vector<FinalMatch>& matches,
   return out;
 }
 
+// The mode-specific part of a query: how each sub-query search stops, and
+// whether a finished round runs again. One instance serves one query.
+class StopPolicy {
+ public:
+  StopPolicy() = default;
+  // The searches call back into the policy by address from pool threads.
+  StopPolicy(const StopPolicy&) = delete;
+  StopPolicy& operator=(const StopPolicy&) = delete;
+
+  /// Called once the sub-queries are resolved, before the first round.
+  virtual void Begin() {}
+  /// Sets the stop rule of sub-query `i`'s search for the current round.
+  virtual void Configure(size_t i, AStarConfig* config) = 0;
+  /// Called after each round's assembly; true runs another round.
+  virtual bool Retry(
+      const std::vector<std::vector<PathMatch>>& /*match_sets*/,
+      size_t /*final_matches*/) {
+    return false;
+  }
+
+ protected:
+  ~StopPolicy() = default;  // never deleted through the base
+};
+
+namespace {
+
+// Optimal search (Algorithm 1) with a per-sub-query match budget: a round
+// is re-run with a doubled budget while assembly yields fewer than k final
+// matches and some search was cut off by the budget.
+class OptimalPolicy final : public StopPolicy {
+ public:
+  explicit OptimalPolicy(const EngineOptions& options)
+      : options_(options),
+        budget_(std::max<size_t>(options.budget_factor * options.k, 16)) {}
+
+  void Configure(size_t, AStarConfig* config) override {
+    config->k = budget_;
+    config->max_matches_per_target = options_.matches_per_target;
+  }
+
+  bool Retry(const std::vector<std::vector<PathMatch>>& match_sets,
+             size_t final_matches) override {
+    const bool any_truncated = std::any_of(
+        match_sets.begin(), match_sets.end(),
+        [this](const std::vector<PathMatch>& set) {
+          return set.size() >= budget_;
+        });
+    if (final_matches >= options_.k || !any_truncated ||
+        retries_ == options_.max_retry_rounds) {
+      return false;
+    }
+    ++retries_;
+    budget_ *= 2;
+    return true;
+  }
+
+ private:
+  const EngineOptions& options_;
+  size_t budget_;
+  size_t retries_ = 0;
+};
+
+// Anytime search (Algorithms 2-3): every search collects matches as they
+// are generated and polls one synchronized time estimator. Each search
+// publishes its |M̂i|; all of them stop once
+//   elapsed + (Σ|M̂i|)·t  >=  T·r%.
+// All searches run concurrently, so the elapsed wall time stands in for
+// max{T_A*}; with sequential execution (threads=1) it equals Σ T_A*, which
+// is only more conservative.
+class AnytimePolicy final : public StopPolicy {
+ public:
+  AnytimePolicy(const TimeBoundedOptions& options, size_t num_subqueries,
+                const Clock* clock)
+      : options_(options), clock_(clock), match_counts_(num_subqueries) {}
+
+  void Begin() override {
+    t_micros_ = options_.per_match_assembly_micros;
+    if (t_micros_ <= 0.0) {
+      t_micros_ = SgqEngine::CalibrateAssemblyCostMicros(clock_);
+    }
+    start_micros_ = clock_->NowMicros();
+  }
+
+  void Configure(size_t i, AStarConfig* config) override {
+    config->k = SIZE_MAX;  // anytime mode ignores k; time governs
+    config->anytime = true;
+    config->anytime_match_cap = options_.match_cap;
+    config->should_stop = [this, i](size_t matches_so_far) {
+      return ShouldStop(i, matches_so_far);
+    };
+  }
+
+
+ private:
+  bool ShouldStop(size_t self_index, size_t matches_so_far) {
+    match_counts_[self_index].store(matches_so_far,
+                                    std::memory_order_relaxed);
+    if (stop_all_.load(std::memory_order_relaxed)) return true;
+    size_t total_matches = 0;
+    for (const auto& c : match_counts_) {
+      total_matches += c.load(std::memory_order_relaxed);
+    }
+    const double elapsed =
+        static_cast<double>(clock_->NowMicros() - start_micros_);
+    const double estimate =
+        elapsed + static_cast<double>(total_matches) * t_micros_;
+    const double alert_micros =
+        static_cast<double>(options_.time_bound_micros) *
+        options_.alert_ratio;
+    if (estimate >= alert_micros) {
+      stop_all_.store(true, std::memory_order_relaxed);
+      return true;
+    }
+    return false;
+  }
+
+  const TimeBoundedOptions& options_;
+  const Clock* clock_;
+  double t_micros_ = 0.0;
+  int64_t start_micros_ = 0;
+  std::vector<std::atomic<size_t>> match_counts_;
+  std::atomic<bool> stop_all_{false};
+};
+
+}  // namespace
+
 SgqEngine::SgqEngine(const KnowledgeGraph* graph, const PredicateSpace* space,
                      const TransformationLibrary* library, const Clock* clock)
     : graph_(graph), space_(space), matcher_(graph, library), clock_(clock) {
   KG_CHECK(space != nullptr && clock != nullptr);
 }
 
-Result<QueryResult> SgqEngine::Query(const QueryGraph& query,
-                                     const EngineOptions& options) const {
+double SgqEngine::CalibrateAssemblyCostMicros(const Clock* clock) {
+  // Simulated TA assembly over synthetic match sets, as Algorithm 3's
+  // empirical estimate of t. 2 sets x 2048 matches with disjoint-ish pivots
+  // force a full scan, which is the worst case the estimator must cover.
+  constexpr size_t kSets = 2;
+  constexpr size_t kPerSet = 2048;
+  Rng rng(7);
+  std::vector<std::vector<PathMatch>> sets(kSets);
+  for (size_t i = 0; i < kSets; ++i) {
+    sets[i].reserve(kPerSet);
+    double pss = 0.999;
+    for (size_t j = 0; j < kPerSet; ++j) {
+      PathMatch m;
+      NodeId pivot = static_cast<NodeId>(rng.UniformIndex(kPerSet * 2));
+      m.nodes = {0, pivot};
+      m.predicates = {0};
+      m.weights = {pss};
+      m.pss = pss;
+      pss *= 0.9995;
+      sets[i].push_back(std::move(m));
+    }
+  }
+  StopWatch watch(clock);
+  TaStats stats;
+  Result<std::vector<FinalMatch>> r = AssembleTopK(sets, 16, &stats);
+  KG_CHECK(r.ok());
+  int64_t elapsed = watch.ElapsedMicros();
+  if (stats.sorted_accesses == 0 || elapsed <= 0) return 1.0;  // manual clock
+  return std::max(0.05, static_cast<double>(elapsed) /
+                            static_cast<double>(stats.sorted_accesses));
+}
+
+Result<Decomposition> SgqEngine::Decompose(const QueryGraph& query,
+                                           const QueryOptions& options) const {
   const GraphView view = options.view ? *options.view : GraphView(*graph_);
-  Result<Decomposition> decomposition = DecomposeQuery(
+  return DecomposeQuery(
       query, MakeDecomposeOptions(view, options.pivot_strategy,
                                   options.n_hat, options.seed));
+}
+
+Result<QueryResult> SgqEngine::Query(const QueryGraph& query,
+                                     const EngineOptions& options) const {
+  Result<Decomposition> decomposition = Decompose(query, options);
+  if (!decomposition.ok()) return decomposition.status();
+  return QueryDecomposed(query, decomposition.ValueOrDie(), options);
+}
+
+Result<QueryResult> SgqEngine::Query(const QueryGraph& query,
+                                     const TimeBoundedOptions& options) const {
+  Result<Decomposition> decomposition = Decompose(query, options);
   if (!decomposition.ok()) return decomposition.status();
   return QueryDecomposed(query, decomposition.ValueOrDie(), options);
 }
@@ -75,10 +247,30 @@ Result<QueryResult> SgqEngine::Query(const QueryGraph& query,
 Result<QueryResult> SgqEngine::QueryDecomposed(
     const QueryGraph& query, const Decomposition& decomposition,
     const EngineOptions& options) const {
+  OptimalPolicy policy(options);
+  return Run(query, decomposition, options, &policy);
+}
+
+Result<QueryResult> SgqEngine::QueryDecomposed(
+    const QueryGraph& query, const Decomposition& decomposition,
+    const TimeBoundedOptions& options) const {
+  if (options.time_bound_micros <= 0) {
+    return Status::InvalidArgument("time bound must be positive");
+  }
+  AnytimePolicy policy(options, decomposition.subqueries.size(), clock_);
+  return Run(query, decomposition, options, &policy);
+}
+
+Result<QueryResult> SgqEngine::Run(const QueryGraph& query,
+                                   const Decomposition& decomposition,
+                                   const QueryOptions& options,
+                                   StopPolicy* policy) const {
   if (options.k == 0) return Status::InvalidArgument("k must be >= 1");
-  // One interruption policy for the whole query: checked here (fail fast
-  // when the request arrives already expired or revoked), polled inside
-  // every sub-query search, and re-checked between retry rounds.
+  // The hard per-request wall (deadline / cancellation), distinct from the
+  // anytime policy's soft budget: checked here (fail fast when the request
+  // arrives already expired or revoked), polled inside every sub-query
+  // search, and re-checked between rounds. Firing aborts the query with a
+  // Status instead of assembling a partial answer.
   auto interrupt = [cancel = options.cancel,
                     deadline = options.deadline_micros, clock = clock_]() {
     return CheckInterrupt(cancel, deadline, clock);
@@ -109,9 +301,8 @@ Result<QueryResult> SgqEngine::QueryDecomposed(
   }
 
   result.subquery_stats.assign(n, SearchStats{});
-  size_t budget = std::max<size_t>(options.budget_factor * options.k, 16);
-
-  for (size_t round = 0; round <= options.max_retry_rounds; ++round) {
+  policy->Begin();
+  for (;;) {
     // One A* semantic search per sub-query graph, in parallel.
     std::vector<std::vector<PathMatch>> match_sets(n);
     std::vector<Status> statuses(n, Status::OK());
@@ -120,16 +311,15 @@ Result<QueryResult> SgqEngine::QueryDecomposed(
     for (size_t i = 0; i < n; ++i) {
       tasks.push_back([&, i] {
         AStarConfig config;
-        config.k = budget;
         config.tau = options.tau;
         config.n_hat = options.n_hat;
         config.max_expansions = options.max_expansions;
         config.dedup = options.dedup;
-        config.max_matches_per_target = options.matches_per_target;
+        config.stop_check_interval = options.stop_check_interval;
         if (options.cancel != nullptr || options.deadline_micros > 0) {
           config.interrupt = interrupt;
-          config.stop_check_interval = options.stop_check_interval;
         }
+        policy->Configure(i, &config);
         Result<std::vector<PathMatch>> r = AStarSearch(
             view, *space_, resolved[i], config, &result.subquery_stats[i]);
         if (r.ok()) {
@@ -151,17 +341,13 @@ Result<QueryResult> SgqEngine::QueryDecomposed(
         AssembleTopK(match_sets, options.k, &result.ta_stats);
     if (!assembled.ok()) return assembled.status();
     result.matches = std::move(assembled).ValueOrDie();
-
-    // Enough final matches, or no sub-query can supply more: done.
-    bool any_search_truncated = false;
-    for (size_t i = 0; i < n; ++i) {
-      if (match_sets[i].size() >= budget) any_search_truncated = true;
-    }
-    if (result.matches.size() >= options.k || !any_search_truncated) break;
+    if (!policy->Retry(match_sets, result.matches.size())) break;
     KG_RETURN_NOT_OK(interrupt());
-    budget *= 2;  // retry with a larger per-sub-query match budget
   }
 
+  for (const SearchStats& s : result.subquery_stats) {
+    if (s.stopped_early) result.stopped_by_time = true;
+  }
   result.elapsed_ms = watch.ElapsedMillis();
   return result;
 }

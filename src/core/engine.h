@@ -1,8 +1,19 @@
-// SgqEngine: the semantic-guided graph query engine (Problem 1, Section V).
+// SgqEngine: semantic-guided graph querying (Problem 1, Section V) and its
+// response-time-bounded approximation (Problem 2, Section VI).
 //
 // Pipeline: decompose the query graph into sub-query path graphs (Eq. 1),
 // run one A* semantic search per sub-query (multithreaded), and assemble
-// final top-k matches at the pivot with the threshold algorithm.
+// final top-k matches at the pivot with the threshold algorithm. Both modes
+// run this one pipeline; a stop policy decides when each search stops and
+// which matches it keeps:
+//  - optimal (EngineOptions): each search returns its best
+//    max(budget_factor*k, 16) matches; the budget doubles and the round
+//    re-runs while assembly yields fewer than k final matches.
+//  - anytime (TimeBoundedOptions, Algorithms 2-3): each search collects
+//    non-optimal match sets M̂i as matches are generated, until the
+//    synchronized time estimator  T̂ = max{T_A*} + Σ|M̂i|·t  reaches the
+//    alert threshold T·r%. Quality is monotone in T (Lemmas 6-7,
+//    Theorem 4): given enough time, M̂ = M.
 #ifndef KGSEARCH_CORE_ENGINE_H_
 #define KGSEARCH_CORE_ENGINE_H_
 
@@ -19,9 +30,10 @@
 namespace kgsearch {
 
 class ThreadPool;  // util/thread_pool.h; only a pointer is stored here
+class StopPolicy;  // engine.cc; the mode-specific part of the pipeline
 
-/// Tuning knobs for a semantic-guided query.
-struct EngineOptions {
+/// Tuning knobs shared by both query modes.
+struct QueryOptions {
   size_t k = 10;           ///< final top-k
   double tau = 0.8;        ///< pss threshold τ
   size_t n_hat = 4;        ///< desired hops per query edge n̂
@@ -29,31 +41,29 @@ struct EngineOptions {
   /// Non-owning shared executor. When set, sub-query searches run as a
   /// caller-participating batch on this pool (RunOnPool) instead of
   /// spawning per-query threads; many concurrent queries can then share one
-  /// process-wide pool. Results are identical either way: each sub-query
-  /// search is deterministic and writes to its own slot.
+  /// process-wide pool. Optimal results are identical either way: each
+  /// sub-query search is deterministic and writes to its own slot. Under a
+  /// tight time bound the anytime stop decision depends on real
+  /// interleaving, so only generously-bounded runs are reproducible across
+  /// executors.
   ThreadPool* executor = nullptr;
   PivotStrategy pivot_strategy = PivotStrategy::kMinCost;
   uint64_t seed = 42;      ///< used by kRandom pivot selection
-  /// Collect budget_factor*k matches per sub-query before assembly (the
-  /// paper's "more than k matches collected for each gi" remark).
-  size_t budget_factor = 3;
-  /// When assembly yields < k final matches, re-run sub-queries with a
-  /// doubled budget up to this many extra rounds.
-  size_t max_retry_rounds = 2;
   /// Safety valve per A* search; 0 = unlimited.
   uint64_t max_expansions = 4'000'000;
   /// Partial-path de-duplication discipline (Algorithm 1 vs. exact states).
   DedupMode dedup = DedupMode::kPaperNodeVisited;
-  /// Sub-query matches emitted per distinct target node (> 1 needs
-  /// kExactState); raise when answers are read off a non-pivot query node.
-  size_t matches_per_target = 1;
   /// Absolute per-request deadline on the engine's clock (the scale of
   /// Clock::NowMicros); 0 = none. Callers with a relative budget convert
   /// via DeadlineFromNowMs at admission time, so queue wait counts. An
-  /// expired query aborts between node expansions with kDeadlineExceeded.
+  /// expired query aborts between node expansions with kDeadlineExceeded
+  /// and no result — unlike TimeBoundedOptions::time_bound_micros, the
+  /// paper's soft budget, which stops searches gracefully and assembles a
+  /// partial answer.
   int64_t deadline_micros = 0;
-  /// Pops between deadline/cancellation polls inside each A* search (the
-  /// abort latency knob; only consulted when a deadline or token is set).
+  /// Pops between polls inside each A* search: of the deadline and
+  /// cancellation token (the abort latency knob; only consulted when one is
+  /// set) and of the anytime time estimator.
   size_t stop_check_interval = 64;
   /// Cooperative cancellation; non-owning, may be null, must outlive the
   /// query. Cancel() makes the query abort between node expansions with
@@ -69,6 +79,33 @@ struct EngineOptions {
   const GraphView* view = nullptr;
 };
 
+/// Knobs of an optimal semantic-guided query (SGQ).
+struct EngineOptions : QueryOptions {
+  /// Collect budget_factor*k matches per sub-query before assembly (the
+  /// paper's "more than k matches collected for each gi" remark).
+  size_t budget_factor = 3;
+  /// When assembly yields < k final matches, re-run sub-queries with a
+  /// doubled budget up to this many extra rounds.
+  size_t max_retry_rounds = 2;
+  /// Sub-query matches emitted per distinct target node (> 1 needs
+  /// kExactState); raise when answers are read off a non-pivot query node.
+  size_t matches_per_target = 1;
+};
+
+/// Knobs of a time-bounded approximate query (TBQ).
+struct TimeBoundedOptions : QueryOptions {
+  /// User-specified time bound T, in microseconds.
+  int64_t time_bound_micros = 100'000;
+  /// Alert ratio r% (the paper uses 80%): assembly launches when the
+  /// estimated total time reaches time_bound * alert_ratio.
+  double alert_ratio = 0.8;
+  /// Empirical per-match TA assembly cost t, in microseconds. <= 0 means
+  /// "calibrate via a simulated assembly" (the paper's approach).
+  double per_match_assembly_micros = -1.0;
+  /// Cap on matches retained per sub-query (best kept); 0 = unlimited.
+  size_t match_cap = 0;
+};
+
 /// Everything produced by one query execution.
 struct QueryResult {
   std::vector<FinalMatch> matches;       ///< descending score
@@ -76,6 +113,10 @@ struct QueryResult {
   std::vector<SearchStats> subquery_stats;
   TaStats ta_stats;
   double elapsed_ms = 0.0;
+  /// True when the time estimator stopped at least one search early; false
+  /// means every search ran to exhaustion (M̂ = M territory, Lemma 7).
+  /// Optimal queries never set it.
+  bool stopped_by_time = false;
 
   /// Convenience: the answer entities (pivot node matches), in rank order.
   std::vector<NodeId> AnswerIds() const {
@@ -104,20 +145,32 @@ std::vector<NodeId> ExtractAnswers(const std::vector<FinalMatch>& matches,
 /// Facade tying graph, predicate space, and node matching together.
 class SgqEngine {
  public:
-  /// All pointers must outlive the engine.
+  /// All pointers must outlive the engine. The clock is injectable so the
+  /// time-bounded convergence guarantees are testable with a ManualClock.
   SgqEngine(const KnowledgeGraph* graph, const PredicateSpace* space,
             const TransformationLibrary* library,
             const Clock* clock = SystemClock::Default());
 
-  /// Runs the full pipeline on `query`.
+  /// Runs the full pipeline on `query`: optimal top-k (SGQ) or the
+  /// approximate top-k M̂ under the time bound in `options` (TBQ).
   Result<QueryResult> Query(const QueryGraph& query,
                             const EngineOptions& options) const;
+  Result<QueryResult> Query(const QueryGraph& query,
+                            const TimeBoundedOptions& options) const;
 
   /// Runs with a caller-supplied decomposition (pivot experiments of
-  /// Section VII-C use this to force a particular pivot).
+  /// Section VII-C use this to force a particular pivot; the serving layer
+  /// replays cached plans).
   Result<QueryResult> QueryDecomposed(const QueryGraph& query,
                                       const Decomposition& decomposition,
                                       const EngineOptions& options) const;
+  Result<QueryResult> QueryDecomposed(const QueryGraph& query,
+                                      const Decomposition& decomposition,
+                                      const TimeBoundedOptions& options) const;
+
+  /// Measures the per-match TA assembly cost t on this machine by timing a
+  /// simulated assembly (Algorithm 3's "empirical time"). Exposed for tests.
+  static double CalibrateAssemblyCostMicros(const Clock* clock);
 
   const KnowledgeGraph& graph() const { return *graph_; }
   const PredicateSpace& space() const { return *space_; }
@@ -127,6 +180,14 @@ class SgqEngine {
   NodeMatcher* mutable_matcher() { return &matcher_; }
 
  private:
+  Result<Decomposition> Decompose(const QueryGraph& query,
+                                  const QueryOptions& options) const;
+  /// The pipeline both modes share; `policy` supplies the stop rule.
+  Result<QueryResult> Run(const QueryGraph& query,
+                          const Decomposition& decomposition,
+                          const QueryOptions& options,
+                          StopPolicy* policy) const;
+
   const KnowledgeGraph* graph_;
   const PredicateSpace* space_;
   NodeMatcher matcher_;

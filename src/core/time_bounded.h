@@ -1,116 +1,16 @@
-// TbqEngine: response-time-bounded approximate querying (Problem 2,
-// Section VI, Algorithms 2-3).
-//
-// Each sub-query runs the anytime A* search, collecting non-optimal match
-// sets M̂i as matches are generated. A synchronized time estimator
-//   T̂ = max{T_A*} + Σ|M̂i|·t        (Algorithm 3)
-// stops all searches once T̂ reaches the alert threshold T·r%, after which
-// the TA assembly produces the approximate final matches M̂. Quality is
-// monotone in T (Lemmas 6-7, Theorem 4): given enough time, M̂ = M.
+// Compatibility aliases: time-bounded queries run on SgqEngine
+// (core/engine.h) and return QueryResult. perfbench/ still compiles against
+// these names and changes only together with the benchmark; new code uses
+// SgqEngine and QueryResult directly.
 #ifndef KGSEARCH_CORE_TIME_BOUNDED_H_
 #define KGSEARCH_CORE_TIME_BOUNDED_H_
-
-#include <vector>
 
 #include "core/engine.h"
 
 namespace kgsearch {
 
-/// Tuning knobs for a time-bounded query.
-struct TimeBoundedOptions {
-  size_t k = 10;
-  double tau = 0.8;
-  size_t n_hat = 4;
-  size_t threads = 0;  ///< 0 = one per sub-query (ignored with executor)
-  /// Non-owning shared executor; see EngineOptions::executor. Note that
-  /// under a tight bound the stop decision depends on real interleaving, so
-  /// only generously-bounded runs are reproducible across executors.
-  ThreadPool* executor = nullptr;
-  PivotStrategy pivot_strategy = PivotStrategy::kMinCost;
-  uint64_t seed = 42;
-
-  /// User-specified time bound T, in microseconds.
-  int64_t time_bound_micros = 100'000;
-  /// Alert ratio r% (the paper uses 80%): assembly launches when the
-  /// estimated total time reaches time_bound * alert_ratio.
-  double alert_ratio = 0.8;
-  /// Empirical per-match TA assembly cost t, in microseconds. <= 0 means
-  /// "calibrate via a simulated assembly" (the paper's approach).
-  double per_match_assembly_micros = -1.0;
-  /// Cap on matches retained per sub-query (best kept); 0 = unlimited.
-  size_t match_cap = 0;
-  /// Pops between time checks inside each A* search.
-  size_t stop_check_interval = 64;
-  /// Safety valve per A* search; 0 = unlimited.
-  uint64_t max_expansions = 4'000'000;
-  /// Partial-path de-duplication discipline (Algorithm 1 vs. exact states).
-  DedupMode dedup = DedupMode::kPaperNodeVisited;
-  /// Absolute per-request deadline (Clock::NowMicros scale); 0 = none.
-  /// Unlike time_bound_micros — the paper's soft budget, which stops
-  /// searches gracefully and assembles a partial answer — the deadline is
-  /// a hard wall: expiry aborts between node expansions with
-  /// kDeadlineExceeded and no result.
-  int64_t deadline_micros = 0;
-  /// Cooperative cancellation; non-owning, may be null. See
-  /// EngineOptions::cancel.
-  const CancelToken* cancel = nullptr;
-  /// Pinned snapshot view; see EngineOptions::view.
-  const GraphView* view = nullptr;
-};
-
-/// Result of a time-bounded query.
-struct TimeBoundedResult {
-  std::vector<FinalMatch> matches;  ///< approximate top-k M̂
-  Decomposition decomposition;
-  std::vector<SearchStats> subquery_stats;
-  TaStats ta_stats;
-  double elapsed_ms = 0.0;
-  /// True when the time estimator stopped at least one search early; false
-  /// means every search ran to exhaustion (M̂ = M territory, Lemma 7).
-  bool stopped_by_time = false;
-
-  std::vector<NodeId> AnswerIds() const {
-    std::vector<NodeId> out;
-    out.reserve(matches.size());
-    for (const FinalMatch& m : matches) out.push_back(m.pivot_match);
-    return out;
-  }
-};
-
-/// Time-bounded query engine (TBQ in the evaluation).
-class TbqEngine {
- public:
-  /// All pointers must outlive the engine. The clock is injectable so the
-  /// convergence guarantees are testable with a ManualClock.
-  TbqEngine(const KnowledgeGraph* graph, const PredicateSpace* space,
-            const TransformationLibrary* library,
-            const Clock* clock = SystemClock::Default());
-
-  /// Runs a query under the time bound in `options`.
-  Result<TimeBoundedResult> Query(const QueryGraph& query,
-                                  const TimeBoundedOptions& options) const;
-
-  /// Runs with a caller-supplied decomposition (e.g. a cached plan from the
-  /// serving layer). Mirrors SgqEngine::QueryDecomposed.
-  Result<TimeBoundedResult> QueryDecomposed(
-      const QueryGraph& query, const Decomposition& decomposition,
-      const TimeBoundedOptions& options) const;
-
-  /// Measures the per-match TA assembly cost t on this machine by timing a
-  /// simulated assembly (Algorithm 3's "empirical time"). Exposed for tests.
-  static double CalibrateAssemblyCostMicros(const Clock* clock);
-
-  const NodeMatcher& matcher() const { return matcher_; }
-  /// For pre-serving configuration (e.g. installing a shared candidate
-  /// cache); must not be called while queries are in flight.
-  NodeMatcher* mutable_matcher() { return &matcher_; }
-
- private:
-  const KnowledgeGraph* graph_;
-  const PredicateSpace* space_;
-  NodeMatcher matcher_;
-  const Clock* clock_;
-};
+using TbqEngine = SgqEngine;
+using TimeBoundedResult = QueryResult;
 
 }  // namespace kgsearch
 

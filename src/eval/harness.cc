@@ -7,7 +7,7 @@
 #include "baselines/exact_match.h"
 #include "baselines/s4.h"
 #include "baselines/structural.h"
-#include "core/time_bounded.h"
+#include "core/engine.h"
 #include "eval/reporter.h"
 #include "util/string_util.h"
 
@@ -146,7 +146,7 @@ MethodRun RunTbqRelativeToSgq(const GeneratedDataset& ds,
   toptions.tau = sgq_options.tau;
   toptions.n_hat = sgq_options.n_hat;
   toptions.per_match_assembly_micros =
-      TbqEngine::CalibrateAssemblyCostMicros(clock);
+      SgqEngine::CalibrateAssemblyCostMicros(clock);
 
   MethodRun run;
   run.method = StrFormat("TBQ-%.1f", ratio);

@@ -31,8 +31,8 @@ struct CachedCandidates {
 
 /// Shared memo of φ candidate lists. One cache can back every matcher over
 /// the same (base graph, library) pair across all epochs — the serving layer
-/// installs one instance into both the SGQ and TBQ engines, and per-request
-/// matchers pinned to a delta snapshot share it too.
+/// installs one instance into its engine, and per-request matchers pinned
+/// to a delta snapshot share it too.
 ///
 /// Keys are std::string (owned) but lookups are heterogeneous string_views,
 /// so the MatchByName/MatchByType hot path allocates no temporary string on

@@ -1,5 +1,6 @@
 #include "service/query_service.h"
 
+#include <type_traits>
 #include <utility>
 
 #include "util/cancel.h"
@@ -77,8 +78,7 @@ QueryService::QueryService(const KnowledgeGraph* graph,
                            QueryServiceOptions options, const Clock* clock)
     : clock_(clock),
       generation_(NextServiceGeneration()),
-      sgq_(graph, space, library, clock),
-      tbq_(graph, space, library, clock),
+      engine_(graph, space, library, clock),
       decomposition_cache_(options.decomposition_cache_capacity),
       admission_(options.max_in_flight, options.max_queued),
       start_micros_(clock->NowMicros()),
@@ -90,8 +90,7 @@ QueryService::QueryService(const KnowledgeGraph* graph,
   if (options.matcher_cache_capacity > 0) {
     matcher_cache_ = std::make_shared<MatcherCandidateCache>(
         options.matcher_cache_capacity);
-    sgq_.mutable_matcher()->set_candidate_cache(matcher_cache_);
-    tbq_.mutable_matcher()->set_candidate_cache(matcher_cache_);
+    engine_.mutable_matcher()->set_candidate_cache(matcher_cache_);
   }
 }
 
@@ -129,10 +128,12 @@ void QueryService::ClassifyOutcome(const Status& status) {
   }
 }
 
-Result<QueryResult> QueryService::ExecuteSgq(const QueryGraph& query,
-                                             EngineOptions options) {
+template <typename Options>
+Result<QueryResult> QueryService::Execute(const QueryGraph& query,
+                                          Options options) {
   options.executor = executor();
-  FlightTracker tracker(this, &sgq_queries_);
+  constexpr bool kTimeBounded = std::is_same_v<Options, TimeBoundedOptions>;
+  FlightTracker tracker(this, kTimeBounded ? &tbq_queries_ : &sgq_queries_);
   // Fail before paying for decomposition when the request arrived already
   // expired or revoked (an async task may have waited out its own budget
   // in the queue). The engine re-polls the same policy between expansions.
@@ -144,7 +145,7 @@ Result<QueryResult> QueryService::ExecuteSgq(const QueryGraph& query,
     return interrupted;
   }
   const GraphView view =
-      options.view != nullptr ? *options.view : GraphView(sgq_.graph());
+      options.view != nullptr ? *options.view : GraphView(engine_.graph());
   Result<Decomposition> decomposition = CachedDecomposition(
       query, options.pivot_strategy, options.n_hat, options.seed, view);
   if (!decomposition.ok()) {
@@ -152,106 +153,75 @@ Result<QueryResult> QueryService::ExecuteSgq(const QueryGraph& query,
     return decomposition.status();
   }
   Result<QueryResult> result =
-      sgq_.QueryDecomposed(query, decomposition.ValueOrDie(), options);
+      engine_.QueryDecomposed(query, decomposition.ValueOrDie(), options);
   tracker.Finish(result.ok());
   if (!result.ok()) ClassifyOutcome(result.status());
   return result;
 }
 
-Result<QueryResult> QueryService::QueryAdmitted(const QueryGraph& query,
-                                                EngineOptions options) {
-  return ExecuteSgq(query, std::move(options));
+template <typename Options>
+Result<QueryResult> QueryService::AdmitAndExecute(const QueryGraph& query,
+                                                  Options options,
+                                                  RequestPriority priority) {
+  if (!admission_.TryAdmit(/*async=*/false, priority)) {
+    return admission_.OverCapacityStatus(/*async=*/false, "service");
+  }
+  AdmissionSlot slot(&admission_);  // released even if execution throws
+  return Execute(query, std::move(options));
+}
+
+template <typename Options>
+std::future<Result<QueryResult>> QueryService::SubmitImpl(
+    QueryGraph query, Options options, RequestPriority priority) {
+  // Admission is decided at submission so overload is reported in
+  // microseconds; the slot is held until the task finishes (it covers the
+  // queue wait) and returned on the shutdown-rejection path too.
+  if (!admission_.TryAdmit(/*async=*/true, priority)) {
+    std::promise<Result<QueryResult>> rejected;
+    rejected.set_value(
+        admission_.OverCapacityStatus(/*async=*/true, "service"));
+    return rejected.get_future();
+  }
+  return SubmitTracked<Result<QueryResult>>(
+      executor(), &outstanding_, &queued_,
+      [this, query = std::move(query), options = std::move(options)]() {
+        AdmissionSlot slot(&admission_);  // released even if Execute throws
+        return Execute(query, options);
+      },
+      Result<QueryResult>(Status::Internal("query service is shutting down")),
+      /*on_reject=*/[this] { admission_.Release(); });
 }
 
 Result<QueryResult> QueryService::Query(const QueryGraph& query,
                                         EngineOptions options,
                                         RequestPriority priority) {
-  if (!admission_.TryAdmit(/*async=*/false, priority)) {
-    return admission_.OverCapacityStatus(/*async=*/false, "service");
-  }
-  AdmissionSlot slot(&admission_);  // released even if execution throws
-  return ExecuteSgq(query, std::move(options));
+  return AdmitAndExecute(query, std::move(options), priority);
 }
 
-template <typename ResultT, typename RunFn>
-std::future<ResultT> QueryService::SubmitImpl(RunFn run,
-                                              RequestPriority priority) {
-  // Admission is decided at submission so overload is reported in
-  // microseconds; the slot is held until the task finishes (it covers the
-  // queue wait) and returned on the shutdown-rejection path too.
-  if (!admission_.TryAdmit(/*async=*/true, priority)) {
-    std::promise<ResultT> rejected;
-    rejected.set_value(
-        ResultT(admission_.OverCapacityStatus(/*async=*/true, "service")));
-    return rejected.get_future();
-  }
-  return SubmitTracked<ResultT>(
-      executor(), &outstanding_, &queued_,
-      [this, run = std::move(run)]() mutable {
-        AdmissionSlot slot(&admission_);  // released even if run() throws
-        return run();
-      },
-      ResultT(Status::Internal("query service is shutting down")),
-      /*on_reject=*/[this] { admission_.Release(); });
+Result<QueryResult> QueryService::Query(const QueryGraph& query,
+                                        TimeBoundedOptions options,
+                                        RequestPriority priority) {
+  return AdmitAndExecute(query, std::move(options), priority);
 }
 
 std::future<Result<QueryResult>> QueryService::Submit(
     QueryGraph query, EngineOptions options, RequestPriority priority) {
-  return SubmitImpl<Result<QueryResult>>(
-      [this, query = std::move(query), options]() {
-        return ExecuteSgq(query, options);
-      },
-      priority);
+  return SubmitImpl(std::move(query), std::move(options), priority);
 }
 
-Result<TimeBoundedResult> QueryService::ExecuteTbq(
-    const QueryGraph& query, TimeBoundedOptions options) {
-  options.executor = executor();
-  FlightTracker tracker(this, &tbq_queries_);
-  Status interrupted =
-      CheckInterrupt(options.cancel, options.deadline_micros, clock_);
-  if (!interrupted.ok()) {
-    tracker.Finish(false);
-    ClassifyOutcome(interrupted);
-    return interrupted;
-  }
-  const GraphView view =
-      options.view != nullptr ? *options.view : GraphView(sgq_.graph());
-  Result<Decomposition> decomposition = CachedDecomposition(
-      query, options.pivot_strategy, options.n_hat, options.seed, view);
-  if (!decomposition.ok()) {
-    tracker.Finish(false);
-    return decomposition.status();
-  }
-  Result<TimeBoundedResult> result =
-      tbq_.QueryDecomposed(query, decomposition.ValueOrDie(), options);
-  tracker.Finish(result.ok());
-  if (!result.ok()) ClassifyOutcome(result.status());
-  return result;
-}
-
-Result<TimeBoundedResult> QueryService::QueryTimeBoundedAdmitted(
-    const QueryGraph& query, TimeBoundedOptions options) {
-  return ExecuteTbq(query, std::move(options));
-}
-
-Result<TimeBoundedResult> QueryService::QueryTimeBounded(
-    const QueryGraph& query, TimeBoundedOptions options,
-    RequestPriority priority) {
-  if (!admission_.TryAdmit(/*async=*/false, priority)) {
-    return admission_.OverCapacityStatus(/*async=*/false, "service");
-  }
-  AdmissionSlot slot(&admission_);  // released even if execution throws
-  return ExecuteTbq(query, std::move(options));
-}
-
-std::future<Result<TimeBoundedResult>> QueryService::SubmitTimeBounded(
+std::future<Result<QueryResult>> QueryService::Submit(
     QueryGraph query, TimeBoundedOptions options, RequestPriority priority) {
-  return SubmitImpl<Result<TimeBoundedResult>>(
-      [this, query = std::move(query), options]() {
-        return ExecuteTbq(query, options);
-      },
-      priority);
+  return SubmitImpl(std::move(query), std::move(options), priority);
+}
+
+Result<QueryResult> QueryService::QueryAdmitted(const QueryGraph& query,
+                                                EngineOptions options) {
+  return Execute(query, std::move(options));
+}
+
+Result<QueryResult> QueryService::QueryAdmitted(const QueryGraph& query,
+                                                TimeBoundedOptions options) {
+  return Execute(query, std::move(options));
 }
 
 ServiceStatsSnapshot QueryService::Stats() const {

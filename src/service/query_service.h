@@ -1,22 +1,23 @@
 // QueryService: concurrent serving of SGQ and TBQ queries over one shared
 // process-wide executor.
 //
-// The engines themselves are stateless per query (const Query methods over
-// immutable graph/space/library), so the serving layer's job is resource
-// multiplexing and memoization:
+// One SgqEngine runs both modes (SGQ and TBQ are two stop policies of the
+// same query pipeline, see core/engine.h). The engine is stateless per
+// query (const Query methods over immutable graph/space/library), so the
+// serving layer's job is resource multiplexing and memoization:
 //  - one ThreadPool shared by every in-flight query; sub-query A* searches
 //    run as caller-participating batches (RunOnPool), so a pool saturated
 //    with queries still makes progress on each query's own sub-queries;
 //  - an LRU cache of query decompositions (DecomposeQuery is pure in the
 //    query + options, so cached plans are bit-identical to fresh ones);
 //  - a shared LRU cache of node-matcher candidate lists, installed into
-//    both engines' matchers;
+//    the engine's matcher;
 //  - per-service counters: QPS, cache hit rates, queue depth, in-flight
 //    gauge, and a p50/p95/max latency histogram;
 //  - overload safety: a bounded admission gate (service/admission.h) that
 //    fails fast with kResourceExhausted instead of queueing without limit,
 //    plus per-request deadlines and cooperative cancellation
-//    (EngineOptions::deadline_micros / ::cancel) that stop a running query
+//    (QueryOptions::deadline_micros / ::cancel) that stop a running query
 //    between node expansions with kDeadlineExceeded / kCancelled.
 //
 // Thread-safety: all public methods may be called concurrently from any
@@ -40,7 +41,6 @@
 #include <string>
 
 #include "core/engine.h"
-#include "core/time_bounded.h"
 #include "service/admission.h"
 #include "service/service_stats.h"
 #include "util/lru_cache.h"
@@ -96,7 +96,8 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Synchronous SGQ query on the shared executor. `options.executor` and
+  /// Synchronous query on the shared executor: optimal (EngineOptions) or
+  /// time-bounded (TimeBoundedOptions). `options.executor` and
   /// `options.threads` are overridden by the service's pool. With
   /// admission control on, over-limit requests return kResourceExhausted
   /// without executing; an expired `options.deadline_micros` or cancelled
@@ -104,36 +105,38 @@ class QueryService {
   Result<QueryResult> Query(const QueryGraph& query, EngineOptions options,
                             RequestPriority priority =
                                 RequestPriority::kNormal);
+  Result<QueryResult> Query(const QueryGraph& query,
+                            TimeBoundedOptions options,
+                            RequestPriority priority =
+                                RequestPriority::kNormal);
+  /// Compat spelling of the time-bounded Query, kept for perfbench/.
+  Result<QueryResult> QueryTimeBounded(const QueryGraph& query,
+                                       TimeBoundedOptions options) {
+    return Query(query, std::move(options));
+  }
 
-  /// Asynchronous SGQ query: enqueues on the shared pool and returns a
-  /// future. Admission is decided HERE (fail fast), not when the task
-  /// starts; an absolute deadline therefore counts queue wait.
+  /// Asynchronous query: enqueues on the shared pool and returns a future.
+  /// Admission is decided HERE (fail fast), not when the task starts; an
+  /// absolute deadline therefore counts queue wait.
   std::future<Result<QueryResult>> Submit(QueryGraph query,
                                           EngineOptions options,
                                           RequestPriority priority =
                                               RequestPriority::kNormal);
-
-  /// Synchronous TBQ query on the shared executor.
-  Result<TimeBoundedResult> QueryTimeBounded(const QueryGraph& query,
-                                             TimeBoundedOptions options,
-                                             RequestPriority priority =
-                                                 RequestPriority::kNormal);
-
-  /// Asynchronous TBQ query.
-  std::future<Result<TimeBoundedResult>> SubmitTimeBounded(
-      QueryGraph query, TimeBoundedOptions options,
-      RequestPriority priority = RequestPriority::kNormal);
+  std::future<Result<QueryResult>> Submit(QueryGraph query,
+                                          TimeBoundedOptions options,
+                                          RequestPriority priority =
+                                              RequestPriority::kNormal);
 
   /// Execution for a caller that already holds a slot on
   /// mutable_admission() (the KgSession facade admits async requests at
   /// submission time so its session-level queue stays bounded, then runs
   /// them here without a second gate). The caller owes exactly one
   /// Release() — use AdmissionSlot. Deadline/cancel handling and all
-  /// counters behave exactly as in Query/QueryTimeBounded.
+  /// counters behave exactly as in Query.
   Result<QueryResult> QueryAdmitted(const QueryGraph& query,
                                     EngineOptions options);
-  Result<TimeBoundedResult> QueryTimeBoundedAdmitted(
-      const QueryGraph& query, TimeBoundedOptions options);
+  Result<QueryResult> QueryAdmitted(const QueryGraph& query,
+                                    TimeBoundedOptions options);
 
   /// Point-in-time counter snapshot.
   [[nodiscard]] ServiceStatsSnapshot Stats() const;
@@ -147,28 +150,35 @@ class QueryService {
   ThreadPool* executor() const {
     return external_pool_ != nullptr ? external_pool_ : owned_pool_.get();
   }
-  const SgqEngine& sgq_engine() const { return sgq_; }
-  const TbqEngine& tbq_engine() const { return tbq_; }
+  /// The one engine; it runs both query modes.
+  const SgqEngine& sgq_engine() const { return engine_; }
+  /// Compat spelling of sgq_engine(), kept for perfbench/.
+  const SgqEngine& tbq_engine() const { return engine_; }
 
  private:
   /// RAII guard updating the in-flight gauge, latency histogram, and
   /// success/failure counters around one query execution.
   class FlightTracker;
 
-  /// Shared machinery behind Submit/SubmitTimeBounded: admission at
-  /// submission time, enqueue `run` on the pool tracking queue depth,
-  /// resolve the promise with an error when the pool is shutting down.
-  /// `run` must be the post-admission execution (ExecuteSgq/ExecuteTbq).
-  template <typename ResultT, typename RunFn>
-  std::future<ResultT> SubmitImpl(RunFn run, RequestPriority priority);
+  /// Admission at the synchronous entry points, then Execute.
+  template <typename Options>
+  Result<QueryResult> AdmitAndExecute(const QueryGraph& query,
+                                      Options options,
+                                      RequestPriority priority);
+
+  /// Machinery behind Submit: admission at submission time, enqueue
+  /// Execute on the pool tracking queue depth, resolve the promise with an
+  /// error when the pool is shutting down.
+  template <typename Options>
+  std::future<Result<QueryResult>> SubmitImpl(QueryGraph query,
+                                              Options options,
+                                              RequestPriority priority);
 
   /// Execution after admission: deadline fast path, decomposition cache,
-  /// engine call, outcome classification. Both sync entry points and the
-  /// async tasks land here; the admission slot is released by the caller.
-  Result<QueryResult> ExecuteSgq(const QueryGraph& query,
-                                 EngineOptions options);
-  Result<TimeBoundedResult> ExecuteTbq(const QueryGraph& query,
-                                       TimeBoundedOptions options);
+  /// engine call, outcome classification. Every entry point lands here;
+  /// the admission slot is released by the caller.
+  template <typename Options>
+  Result<QueryResult> Execute(const QueryGraph& query, Options options);
 
   /// Bumps the cancelled/deadline-exceeded counters for a finished query.
   void ClassifyOutcome(const Status& status);
@@ -189,8 +199,7 @@ class QueryService {
   /// trackers can tell a blue-green service replacement from counter
   /// movement (see ServiceStatsSnapshot::generation).
   const uint64_t generation_;
-  SgqEngine sgq_;
-  TbqEngine tbq_;
+  SgqEngine engine_;
   std::shared_ptr<MatcherCandidateCache> matcher_cache_;  ///< may be null
   LruCache<std::string, Decomposition> decomposition_cache_;
 

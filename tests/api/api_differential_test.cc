@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "api/session.h"
-#include "core/time_bounded.h"
+#include "core/engine.h"
 #include "eval/harness.h"
 #include "gen/car_domain.h"
 #include "gen/synthetic_kg.h"
@@ -139,7 +139,7 @@ TEST_F(ApiDifferentialTest, BatchBitIdenticalToSync) {
 }
 
 // TBQ with a generous bound is exact and deterministic (Lemma 7 territory):
-// the facade must be bit-identical to a direct TbqEngine run, and both must
+// the facade must be bit-identical to a direct SgqEngine run, and both must
 // equal the unbounded SGQ answers.
 TEST_F(ApiDifferentialTest, TbqBitIdenticalToDirectEngine) {
   const KnowledgeGraph* graph = session_->graph("car");
@@ -147,7 +147,7 @@ TEST_F(ApiDifferentialTest, TbqBitIdenticalToDirectEngine) {
   const TransformationLibrary* library = session_->library("car");
   ASSERT_NE(graph, nullptr);
 
-  TbqEngine direct(graph, space, library);
+  SgqEngine direct(graph, space, library);
   RequestOptions api_options;
   api_options.k = 15;
   api_options.time_bound_micros = 30'000'000;  // generous: nothing stops

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/time_bounded.h"
 #include "gen/car_domain.h"
 #include "testing/test_world.h"
 #include "util/cancel.h"
@@ -240,7 +239,7 @@ TEST_F(EngineCancellationTest, SgqGenerousDeadlineIsBitIdentical) {
 
 TEST_F(EngineCancellationTest, TbqAlreadyExpiredDeadlineFailsFast) {
   ManualClock clock(1'000'000);
-  TbqEngine engine(dataset_->graph.get(), dataset_->space.get(),
+  SgqEngine engine(dataset_->graph.get(), dataset_->space.get(),
                    &dataset_->library, &clock);
   TimeBoundedOptions options;
   options.deadline_micros = 999'999;
@@ -251,7 +250,7 @@ TEST_F(EngineCancellationTest, TbqAlreadyExpiredDeadlineFailsFast) {
 }
 
 TEST_F(EngineCancellationTest, TbqPreCancelledTokenFailsFast) {
-  TbqEngine engine(dataset_->graph.get(), dataset_->space.get(),
+  SgqEngine engine(dataset_->graph.get(), dataset_->space.get(),
                    &dataset_->library);
   CancelToken token;
   token.Cancel();
@@ -271,7 +270,7 @@ TEST_F(EngineCancellationTest, TbqCancelledMidSearchAborts) {
   // kCancelled, not as a partial anytime result.
   CancelToken token;
   AdvancingClock clock(&token, 20);
-  TbqEngine engine(dataset_->graph.get(), dataset_->space.get(),
+  SgqEngine engine(dataset_->graph.get(), dataset_->space.get(),
                    &dataset_->library, &clock);
   TimeBoundedOptions options;
   options.threads = 1;
@@ -288,7 +287,7 @@ TEST_F(EngineCancellationTest, TbqCancelledMidSearchAborts) {
 TEST_F(EngineCancellationTest, TbqGenerousDeadlineKeepsAnytimeSemantics) {
   // A deadline that never binds must not disturb the paper's soft-budget
   // behavior: generous bound + generous deadline == generous bound alone.
-  TbqEngine engine(dataset_->graph.get(), dataset_->space.get(),
+  SgqEngine engine(dataset_->graph.get(), dataset_->space.get(),
                    &dataset_->library);
   TimeBoundedOptions plain;
   plain.k = 20;

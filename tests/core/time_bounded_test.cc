@@ -1,4 +1,4 @@
-#include "core/time_bounded.h"
+#include "core/engine.h"
 
 #include <gtest/gtest.h>
 
@@ -30,10 +30,10 @@ GeneratedDataset* TimeBoundedTest::dataset_ = nullptr;
 
 /// Runs TBQ with a manual clock that advances a fixed amount per A* pop,
 /// making the "time" bound a deterministic expansion budget.
-Result<TimeBoundedResult> RunWithVirtualTime(const GeneratedDataset& ds,
+Result<QueryResult> RunWithVirtualTime(const GeneratedDataset& ds,
                                              const QueryGraph& query,
                                              int64_t bound_micros, size_t k) {
-  // The expansion hook is not exposed through TbqEngine (it drives real
+  // The expansion hook is not exposed through SgqEngine (it drives real
   // searches); instead we advance the clock from the should-stop polling by
   // configuring a 1-pop check interval and advancing on each poll via a
   // wrapper clock.
@@ -46,7 +46,7 @@ Result<TimeBoundedResult> RunWithVirtualTime(const GeneratedDataset& ds,
     mutable int64_t reads_ = 0;
   };
   static PollCountingClock clock;  // shared across calls; monotone anyway
-  TbqEngine engine(ds.graph.get(), ds.space.get(), &ds.library, &clock);
+  SgqEngine engine(ds.graph.get(), ds.space.get(), &ds.library, &clock);
   TimeBoundedOptions options;
   options.k = k;
   options.time_bound_micros = bound_micros;
@@ -114,7 +114,7 @@ TEST_F(TimeBoundedTest, EnoughTimeMatchesSgqAnswers) {
 }
 
 TEST_F(TimeBoundedTest, InvalidOptionsRejected) {
-  TbqEngine engine(dataset_->graph.get(), dataset_->space.get(),
+  SgqEngine engine(dataset_->graph.get(), dataset_->space.get(),
                    &dataset_->library);
   QueryGraph q = MakeQ117Variant(4);
   TimeBoundedOptions options;
@@ -127,15 +127,15 @@ TEST_F(TimeBoundedTest, InvalidOptionsRejected) {
 
 TEST_F(TimeBoundedTest, CalibrationReturnsPositiveCost) {
   const double t =
-      TbqEngine::CalibrateAssemblyCostMicros(SystemClock::Default());
+      SgqEngine::CalibrateAssemblyCostMicros(SystemClock::Default());
   EXPECT_GT(t, 0.0);
   EXPECT_LT(t, 10'000.0);  // sanity: below 10ms per match
   ManualClock manual(0);
-  EXPECT_GT(TbqEngine::CalibrateAssemblyCostMicros(&manual), 0.0);
+  EXPECT_GT(SgqEngine::CalibrateAssemblyCostMicros(&manual), 0.0);
 }
 
 TEST_F(TimeBoundedTest, RealClockRespectsBoundLoosely) {
-  TbqEngine engine(dataset_->graph.get(), dataset_->space.get(),
+  SgqEngine engine(dataset_->graph.get(), dataset_->space.get(),
                    &dataset_->library);
   QueryGraph q = MakeQ117Variant(4);
   TimeBoundedOptions options;

@@ -7,7 +7,7 @@
 #include <set>
 
 #include "baselines/adapters.h"
-#include "core/time_bounded.h"
+#include "core/engine.h"
 #include "eval/harness.h"
 #include "eval/metrics.h"
 #include "gen/workload.h"
@@ -145,7 +145,7 @@ TEST_F(EndToEndTest, TbqConvergesToSgqOnStarQuery) {
   auto ref = sgq.Query(q.query, options);
   ASSERT_TRUE(ref.ok());
 
-  TbqEngine tbq(dataset_->graph.get(), dataset_->space.get(),
+  SgqEngine tbq(dataset_->graph.get(), dataset_->space.get(),
                 &dataset_->library);
   TimeBoundedOptions toptions;
   toptions.k = 30;

@@ -203,7 +203,7 @@ TEST_F(ServiceAdmissionTest, ExpiredDeadlineCountsAndFailsFast) {
   TimeBoundedOptions tbq;
   tbq.deadline_micros = 1'000'000;
   tbq.per_match_assembly_micros = 0.5;
-  auto t = service.QueryTimeBounded(MakeQ117Variant(4), tbq);
+  auto t = service.Query(MakeQ117Variant(4), tbq);
   ASSERT_FALSE(t.ok());
   EXPECT_EQ(t.status().code(), StatusCode::kDeadlineExceeded);
 

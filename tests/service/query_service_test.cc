@@ -114,13 +114,13 @@ TEST_F(QueryServiceTest, TimeBoundedThroughServiceConvergesUnderGenerousBound) {
   toptions.k = 20;
   toptions.time_bound_micros = 1'000'000'000;  // ~17 minutes: never binds
   toptions.per_match_assembly_micros = 0.5;
-  auto tbq = service.QueryTimeBounded(q, toptions);
+  auto tbq = service.Query(q, toptions);
   ASSERT_TRUE(tbq.ok()) << tbq.status().ToString();
   EXPECT_FALSE(tbq.ValueOrDie().stopped_by_time);
   EXPECT_FALSE(tbq.ValueOrDie().matches.empty());
   EXPECT_LE(tbq.ValueOrDie().matches.size(), 20u);
 
-  auto async_tbq = service.SubmitTimeBounded(q, toptions).get();
+  auto async_tbq = service.Submit(q, toptions).get();
   ASSERT_TRUE(async_tbq.ok());
   EXPECT_EQ(async_tbq.ValueOrDie().AnswerIds(),
             tbq.ValueOrDie().AnswerIds());
@@ -136,7 +136,7 @@ TEST_F(QueryServiceTest, StatsTrackTrafficAndLatency) {
   TimeBoundedOptions toptions;
   toptions.k = 5;
   toptions.time_bound_micros = 1'000'000;
-  ASSERT_TRUE(service.QueryTimeBounded(MakeQ117Variant(3), toptions).ok());
+  ASSERT_TRUE(service.Query(MakeQ117Variant(3), toptions).ok());
 
   const ServiceStatsSnapshot stats = service.Stats();
   EXPECT_EQ(stats.queries_total, 4u);

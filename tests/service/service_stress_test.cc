@@ -172,7 +172,7 @@ TEST_F(ServiceStressTest, MixedSgqTbqTrafficStaysDeterministic) {
   toptions.time_bound_micros = 1'000'000'000;
   toptions.per_match_assembly_micros = 0.5;
 
-  TbqEngine serial_tbq(dataset_->graph.get(), dataset_->space.get(),
+  SgqEngine serial_tbq(dataset_->graph.get(), dataset_->space.get(),
                        &dataset_->library);
   TimeBoundedOptions serial_opts = toptions;
   serial_opts.threads = 1;
@@ -192,11 +192,11 @@ TEST_F(ServiceStressTest, MixedSgqTbqTrafficStaysDeterministic) {
   const std::vector<NodeId> sgq_answers = sgq_ref.ValueOrDie().AnswerIds();
 
   std::vector<std::future<Result<QueryResult>>> sgq_futures;
-  std::vector<std::future<Result<TimeBoundedResult>>> tbq_futures;
+  std::vector<std::future<Result<QueryResult>>> tbq_futures;
   for (int i = 0; i < 8; ++i) {
     sgq_futures.push_back(service.Submit(MakeQ117Variant(4), sgq_options));
     tbq_futures.push_back(
-        service.SubmitTimeBounded(MakeQ117Variant(4), toptions));
+        service.Submit(MakeQ117Variant(4), toptions));
   }
   for (auto& f : sgq_futures) {
     auto r = f.get();

@@ -5,6 +5,7 @@
 // the contract that makes snapshots a deployment unit: restarting from a
 // snapshot can never change what the service returns.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <memory>
@@ -19,15 +20,23 @@
 namespace kgsearch {
 namespace {
 
+// A scratch path private to this process. ctest runs every TEST of this
+// suite as its own process, each with its own SetUpTestSuite, so fixed
+// names would let parallel siblings delete each other's files mid-load.
+std::string ProcessTempPath(const std::string& name) {
+  return ::testing::TempDir() + "/snapshot_diff_" +
+         std::to_string(::getpid()) + "_" + name;
+}
+
 class SnapshotDifferentialTest : public ::testing::Test {
  protected:
   // Builds the fixture once: car-domain graph + library written to text
   // files, one session that parses + trains ("fresh"), a kgpack saved from
   // it, and one session restored from that snapshot ("snap").
   static void SetUpTestSuite() {
-    graph_path_ = ::testing::TempDir() + "/snapshot_diff_graph.nt";
-    library_path_ = ::testing::TempDir() + "/snapshot_diff_library.tsv";
-    pack_path_ = ::testing::TempDir() + "/snapshot_diff.kgpack";
+    graph_path_ = ProcessTempPath("graph.nt");
+    library_path_ = ProcessTempPath("library.tsv");
+    pack_path_ = ProcessTempPath("pack.kgpack");
 
     auto car = MakeCarDomainDataset(120, 117);
     ASSERT_TRUE(car.ok()) << car.status().ToString();
@@ -175,7 +184,7 @@ TEST_F(SnapshotDifferentialTest, JsonResponsesAgree) {
 // A second-generation snapshot (save the snapshot-loaded dataset, load it
 // again) stays bit-identical: snapshots are a fixed point, not a lossy copy.
 TEST_F(SnapshotDifferentialTest, ResnapshottingIsAFixedPoint) {
-  const std::string path2 = ::testing::TempDir() + "/snapshot_diff_gen2.kgpack";
+  const std::string path2 = ProcessTempPath("gen2.kgpack");
   ASSERT_TRUE(snap_->SaveDataset("car", path2).ok());
 
   Result<std::string> gen1 = ReadFileToString(pack_path_);
