@@ -74,11 +74,7 @@ Result<std::unique_ptr<KgSession::Dataset>> KgSession::BuildDataset(
   if (!graph->finalized()) {
     return Status::InvalidArgument("dataset graph must be finalized");
   }
-  if (space->NumPredicates() < graph->NumPredicates()) {
-    return Status::InvalidArgument(StrFormat(
-        "predicate space covers %zu of the graph's %zu predicates",
-        space->NumPredicates(), graph->NumPredicates()));
-  }
+  KG_RETURN_NOT_OK(CheckSpaceCoversGraph(*graph, *space));
   auto dataset = std::make_unique<Dataset>();
   dataset->graph = std::move(graph);
   dataset->space = std::move(space);

@@ -126,8 +126,11 @@ class KgSession {
 
   // ----- dataset registry -----
 
-  /// Registers an in-memory dataset under `name` (graph must be finalized).
-  /// kAlreadyExists when the name is taken; kInvalidArgument on null parts.
+  /// Registers an in-memory dataset under `name`. The graph must be
+  /// finalized and the space must cover its predicates by id and name
+  /// (CheckSpaceCoversGraph, kg/snapshot.h), so every registered dataset
+  /// can be saved. kAlreadyExists when the name is taken; kInvalidArgument
+  /// on null or inconsistent parts.
   Status RegisterDataset(const std::string& name,
                          std::unique_ptr<KnowledgeGraph> graph,
                          std::unique_ptr<PredicateSpace> space,

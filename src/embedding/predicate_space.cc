@@ -51,16 +51,6 @@ PredicateSpace PredicateSpace::FromTransE(const KnowledgeGraph& graph,
   return PredicateSpace(embedding.predicate, std::move(names));
 }
 
-PredicateSpace PredicateSpace::FromNormalized(std::vector<FloatVec> vectors,
-                                              std::vector<std::string> names) {
-  KG_CHECK(vectors.size() == names.size());
-  PredicateSpace space;
-  space.store_ = VectorStore::FromVectors(vectors);
-  space.names_ = std::move(names);
-  space.InitDerived();
-  return space;
-}
-
 PredicateSpace PredicateSpace::FromStore(VectorStore store,
                                          std::vector<std::string> names) {
   KG_CHECK(store.size() == names.size());

@@ -50,12 +50,6 @@ class PredicateSpace {
   static PredicateSpace FromTransE(const KnowledgeGraph& graph,
                                    const TransEEmbedding& embedding);
 
-  /// Trusted restore path for snapshots: installs `vectors` verbatim (no
-  /// re-normalization), so vectors captured from a live PredicateSpace —
-  /// which are already unit-normalized — round-trip bit-exactly.
-  static PredicateSpace FromNormalized(std::vector<FloatVec> vectors,
-                                       std::vector<std::string> names);
-
   /// Trusted restore path that adopts an already-populated store directly
   /// (the kgpack reader streams rows straight into the flat block).
   static PredicateSpace FromStore(VectorStore store,

@@ -4,9 +4,7 @@
 #include <memory>
 
 #include "embedding/negative_sampling.h"
-#include "util/binary_io.h"
 #include "util/logging.h"
-#include "util/string_util.h"
 
 namespace kgsearch {
 
@@ -158,65 +156,6 @@ Result<TransEEmbedding> TrainTransE(const KnowledgeGraph& graph,
       KG_LOG(Debug) << "TransE epoch " << (epoch + 1) << " mean loss "
                     << emb.final_epoch_loss;
     }
-  }
-  return emb;
-}
-
-namespace {
-
-// "KGTE" + format version, so embedding blobs are self-identifying.
-constexpr uint32_t kTransEBinaryMagic = 0x4554474Bu;
-constexpr uint32_t kTransEBinaryVersion = 1;
-
-void WriteVecTable(const std::vector<FloatVec>& table, BinaryWriter* out) {
-  out->WriteU64(table.size());
-  for (const FloatVec& v : table) out->WriteVector(v);
-}
-
-Status ReadVecTable(BinaryReader* in, std::vector<FloatVec>* table) {
-  uint64_t count = 0;
-  KG_RETURN_NOT_OK(in->ReadU64(&count));
-  if (count > in->remaining() / sizeof(uint64_t)) {
-    return Status::ParseError("embedding vector count exceeds input size");
-  }
-  table->resize(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    KG_RETURN_NOT_OK(in->ReadVector(&(*table)[i]));
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-std::string SerializeTransEBinary(const TransEEmbedding& embedding) {
-  BinaryWriter out;
-  out.WriteU32(kTransEBinaryMagic);
-  out.WriteU32(kTransEBinaryVersion);
-  WriteVecTable(embedding.entity, &out);
-  WriteVecTable(embedding.predicate, &out);
-  out.WriteDouble(embedding.final_epoch_loss);
-  return out.Release();
-}
-
-Result<TransEEmbedding> DeserializeTransEBinary(std::string_view bytes) {
-  BinaryReader in(bytes);
-  uint32_t magic = 0, version = 0;
-  KG_RETURN_NOT_OK(in.ReadU32(&magic));
-  if (magic != kTransEBinaryMagic) {
-    return Status::ParseError("not a TransE embedding blob (bad magic)");
-  }
-  KG_RETURN_NOT_OK(in.ReadU32(&version));
-  if (version != kTransEBinaryVersion) {
-    return Status::ParseError(
-        StrFormat("unsupported TransE blob version %u (this build reads %u)",
-                  version, kTransEBinaryVersion));
-  }
-  TransEEmbedding emb;
-  KG_RETURN_NOT_OK(ReadVecTable(&in, &emb.entity));
-  KG_RETURN_NOT_OK(ReadVecTable(&in, &emb.predicate));
-  KG_RETURN_NOT_OK(in.ReadDouble(&emb.final_epoch_loss));
-  if (!in.AtEnd()) {
-    return Status::ParseError("trailing bytes after TransE embedding blob");
   }
   return emb;
 }

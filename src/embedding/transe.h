@@ -9,8 +9,6 @@
 #define KGSEARCH_EMBEDDING_TRANSE_H_
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "embedding/vector_math.h"
@@ -49,12 +47,6 @@ struct TransEEmbedding {
 /// Runtime is O(epochs * |E| * dim). Deterministic for a fixed config.
 Result<TransEEmbedding> TrainTransE(const KnowledgeGraph& graph,
                                     const TransEConfig& config);
-
-/// Exact binary round trip for trained embeddings (raw IEEE-754 float bits,
-/// so Deserialize(Serialize(e)) reproduces every vector bit-for-bit — the
-/// property the kgpack snapshot path relies on to skip retraining).
-std::string SerializeTransEBinary(const TransEEmbedding& embedding);
-Result<TransEEmbedding> DeserializeTransEBinary(std::string_view bytes);
 
 }  // namespace kgsearch
 

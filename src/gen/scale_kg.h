@@ -17,9 +17,10 @@
 //                    stream once and sorts only its own entries)
 //
 // The streamed file is byte-identical to EncodeSnapshot() over the graph
-// the in-memory builder (BuildScaleKgInMemory) produces from the same spec
-// — the tests pin this — so everything downstream (loader, engines,
-// service) treats generated datasets exactly like hand-built ones.
+// the in-memory builder (BuildScaleKgInMemory) produces from the same spec:
+// both write through the one kgpack writer, and the tests pin the golden
+// CRCs per seed. So everything downstream (loader, engines, service) treats
+// generated datasets exactly like hand-built ones.
 //
 // Topology: nodes are grouped into contiguous community blocks. The first
 // node of each community is its hub; members attach to the hub

@@ -1,9 +1,10 @@
 #include "kg/snapshot.h"
 
-#include <cstring>
+#include <algorithm>
 #include <utility>
 #include <vector>
 
+#include "kg/snapshot_stream.h"
 #include "kg/triple_io.h"
 #include "util/binary_io.h"
 #include "util/string_util.h"
@@ -17,27 +18,7 @@ using snapshot_internal::kSectionSpace;
 
 namespace {
 
-// Triples are written as one bulk vector copy; this pins the layout the
-// format depends on.
-static_assert(sizeof(Triple) == 12 &&
-                  std::has_unique_object_representations_v<Triple>,
-              "Triple must be a packed 3x u32 POD for bulk serialization");
-
-// ----- dictionary -----
-
-void WriteDictionary(const Dictionary& dict, BinaryWriter* out) {
-  std::vector<uint64_t> offsets;
-  offsets.reserve(dict.size() + 1);
-  std::string blob;
-  blob.reserve(dict.payload_bytes());
-  offsets.push_back(0);
-  for (SymbolId id = 0; id < dict.size(); ++id) {
-    blob.append(dict.Get(id));
-    offsets.push_back(blob.size());
-  }
-  out->WriteString(blob);
-  out->WriteVector(offsets);
-}
+// ----- decoding -----
 
 Result<Dictionary> ReadDictionary(BinaryReader* in) {
   std::string_view blob;
@@ -45,41 +26,6 @@ Result<Dictionary> ReadDictionary(BinaryReader* in) {
   std::vector<uint64_t> offsets;
   KG_RETURN_NOT_OK(in->ReadVector(&offsets));
   return Dictionary::FromFlat(blob, offsets);
-}
-
-// ----- sections -----
-
-void WriteGraphSection(const KnowledgeGraph& graph, BinaryWriter* out) {
-  WriteDictionary(graph.names_dict(), out);
-  WriteDictionary(graph.types_dict(), out);
-  WriteDictionary(graph.predicates_dict(), out);
-  out->WriteVector(graph.node_types());
-  out->WriteVector(graph.triples());
-
-  // Adjacency as structure-of-arrays: AdjEntry has padding bytes, so the
-  // struct itself is not bulk-serializable; three packed arrays are.
-  const auto adj = graph.adjacency();
-  std::vector<NodeId> neighbors(adj.size());
-  std::vector<PredicateId> predicates(adj.size());
-  std::vector<uint8_t> forward(adj.size());
-  for (size_t i = 0; i < adj.size(); ++i) {
-    neighbors[i] = adj[i].neighbor;
-    predicates[i] = adj[i].predicate;
-    forward[i] = adj[i].forward ? 1 : 0;
-  }
-  std::vector<uint64_t> adj_offsets(graph.adj_offsets().begin(),
-                                    graph.adj_offsets().end());
-  out->WriteVector(adj_offsets);
-  out->WriteVector(neighbors);
-  out->WriteVector(predicates);
-  out->WriteVector(forward);
-
-  std::vector<uint64_t> type_offsets(graph.type_offsets().begin(),
-                                     graph.type_offsets().end());
-  std::vector<NodeId> type_members(graph.type_members().begin(),
-                                   graph.type_members().end());
-  out->WriteVector(type_offsets);
-  out->WriteVector(type_members);
 }
 
 Result<std::unique_ptr<KnowledgeGraph>> ReadGraphSection(BinaryReader* in) {
@@ -119,18 +65,6 @@ Result<std::unique_ptr<KnowledgeGraph>> ReadGraphSection(BinaryReader* in) {
   return KnowledgeGraph::FromFlatParts(std::move(parts));
 }
 
-void WriteLibrarySection(const TransformationLibrary& library,
-                         BinaryWriter* out) {
-  const auto records = library.ExportRecords();
-  out->WriteU64(records.size());
-  for (const auto& r : records) {
-    out->WriteU8(r.type_scope ? 1 : 0);
-    out->WriteU8(static_cast<uint8_t>(r.kind));
-    out->WriteString(r.alias);
-    out->WriteString(r.canonical);
-  }
-}
-
 Result<TransformationLibrary> ReadLibrarySection(BinaryReader* in) {
   uint64_t count = 0;
   KG_RETURN_NOT_OK(in->ReadU64(&count));
@@ -167,14 +101,6 @@ Result<TransformationLibrary> ReadLibrarySection(BinaryReader* in) {
   return library;
 }
 
-void WriteSpaceSection(const PredicateSpace& space, BinaryWriter* out) {
-  out->WriteU64(space.NumPredicates());
-  for (PredicateId p = 0; p < space.NumPredicates(); ++p) {
-    out->WriteString(space.names()[p]);
-    out->WriteVector(space.Vector(p));
-  }
-}
-
 Result<std::unique_ptr<PredicateSpace>> ReadSpaceSection(BinaryReader* in) {
   uint64_t count = 0;
   KG_RETURN_NOT_OK(in->ReadU64(&count));
@@ -202,8 +128,51 @@ Result<std::unique_ptr<PredicateSpace>> ReadSpaceSection(BinaryReader* in) {
       PredicateSpace::FromStore(std::move(store), std::move(names)));
 }
 
-/// The save-side and load-side consistency contract between the graph and
-/// its predicate space (mirrors KgSession::RegisterDataset).
+Result<std::string_view> ReadSection(BinaryReader* in, uint32_t expected_id) {
+  uint32_t id = 0;
+  KG_RETURN_NOT_OK(in->ReadU32(&id));
+  if (id != expected_id) {
+    return Status::ParseError(StrFormat(
+        "expected kgpack section %u, found %u", expected_id, id));
+  }
+  std::string_view body;
+  Status read = in->ReadStringView(&body);
+  if (!read.ok()) {
+    return Status::ParseError(StrFormat("kgpack section %u is truncated",
+                                        id));
+  }
+  return body;
+}
+
+// ----- encoding -----
+
+/// Rejects what the writer cannot encode, before any byte is written (and
+/// before SaveSnapshot truncates its file).
+Status CheckEncodable(const KnowledgeGraph& graph,
+                      const PredicateSpace& space) {
+  if (!graph.finalized()) {
+    return Status::InvalidArgument(
+        "snapshots require a finalized graph (call Finalize() first)");
+  }
+  return CheckSpaceCoversGraph(graph, space);
+}
+
+Status WriteDataset(SnapshotStreamWriter* writer, const KnowledgeGraph& graph,
+                    const PredicateSpace& space,
+                    const TransformationLibrary& library) {
+  KG_RETURN_NOT_OK(writer->WriteGraph(graph));
+  KG_RETURN_NOT_OK(writer->WriteLibrarySection(library));
+  KG_RETURN_NOT_OK(writer->WriteSpaceSection(space));
+  return writer->Finish();
+}
+
+}  // namespace
+
+bool LooksLikeKgPack(std::string_view bytes) {
+  return bytes.size() >= kKgPackMagic.size() &&
+         bytes.substr(0, kKgPackMagic.size()) == kKgPackMagic;
+}
+
 Status CheckSpaceCoversGraph(const KnowledgeGraph& graph,
                              const PredicateSpace& space) {
   if (space.NumPredicates() < graph.NumPredicates()) {
@@ -223,109 +192,22 @@ Status CheckSpaceCoversGraph(const KnowledgeGraph& graph,
   return Status::OK();
 }
 
-/// Writes "u32 id + u64 length + body" with the body emitted directly into
-/// `out` and the length patched afterwards — no per-section staging buffer,
-/// so encoding holds one copy of the snapshot bytes, not three.
-template <typename BodyFn>
-void WriteSection(uint32_t id, BinaryWriter* out, BodyFn&& body_fn) {
-  out->WriteU32(id);
-  const size_t length_slot = out->size();
-  out->WriteU64(0);
-  const size_t body_start = out->size();
-  body_fn(out);
-  out->PatchU64(length_slot, out->size() - body_start);
-}
-
-Result<std::string_view> ReadSection(BinaryReader* in, uint32_t expected_id) {
-  uint32_t id = 0;
-  KG_RETURN_NOT_OK(in->ReadU32(&id));
-  if (id != expected_id) {
-    return Status::ParseError(StrFormat(
-        "expected kgpack section %u, found %u", expected_id, id));
-  }
-  std::string_view body;
-  Status read = in->ReadStringView(&body);
-  if (!read.ok()) {
-    return Status::ParseError(StrFormat("kgpack section %u is truncated",
-                                        id));
-  }
-  return body;
-}
-
-}  // namespace
-
-bool LooksLikeKgPack(std::string_view bytes) {
-  return bytes.size() >= kKgPackMagic.size() &&
-         bytes.substr(0, kKgPackMagic.size()) == kKgPackMagic;
-}
-
 Result<std::string> EncodeSnapshot(const KnowledgeGraph& graph,
                                    const PredicateSpace& space,
                                    const TransformationLibrary& library) {
-  if (!graph.finalized()) {
-    return Status::InvalidArgument(
-        "snapshots require a finalized graph (call Finalize() first)");
-  }
-  KG_RETURN_NOT_OK(CheckSpaceCoversGraph(graph, space));
-
-  BinaryWriter out;
-  out.WriteRaw(kKgPackMagic.data(), kKgPackMagic.size());
-  out.WriteU32(kKgPackVersion);
-  const size_t payload_size_slot = out.size();
-  out.WriteU64(0);
-  const size_t checksum_slot = out.size();
-  out.WriteU32(0);
-  const size_t payload_start = out.size();
-
-  WriteSection(kSectionGraph, &out,
-               [&graph](BinaryWriter* w) { WriteGraphSection(graph, w); });
-  WriteSection(kSectionLibrary, &out, [&library](BinaryWriter* w) {
-    WriteLibrarySection(library, w);
-  });
-  WriteSection(kSectionSpace, &out,
-               [&space](BinaryWriter* w) { WriteSpaceSection(space, w); });
-
-  out.PatchU64(payload_size_slot, out.size() - payload_start);
-  out.PatchU32(checksum_slot,
-               Crc32(out.buffer().data() + payload_start,
-                     out.size() - payload_start));
-  return out.Release();
+  KG_RETURN_NOT_OK(CheckEncodable(graph, space));
+  std::string bytes;
+  std::unique_ptr<SnapshotStreamWriter> writer =
+      SnapshotStreamWriter::OpenInMemory(&bytes);
+  KG_RETURN_NOT_OK(WriteDataset(writer.get(), graph, space, library));
+  return bytes;
 }
 
 Result<DatasetSnapshot> DecodeSnapshot(std::string_view bytes) {
-  if (bytes.size() < kHeaderBytes) {
-    return Status::ParseError(StrFormat(
-        "kgpack header truncated: %zu bytes, need %zu", bytes.size(),
-        kHeaderBytes));
-  }
-  if (!LooksLikeKgPack(bytes)) {
-    return Status::ParseError("not a kgpack snapshot (bad magic)");
-  }
-  BinaryReader header(bytes.substr(kKgPackMagic.size()));
-  uint32_t version = 0, checksum = 0;
-  uint64_t payload_size = 0;
-  KG_RETURN_NOT_OK(header.ReadU32(&version));
-  KG_RETURN_NOT_OK(header.ReadU64(&payload_size));
-  KG_RETURN_NOT_OK(header.ReadU32(&checksum));
-  if (version != kKgPackVersion) {
-    return Status::ParseError(StrFormat(
-        "kgpack version %u is not supported (this build reads version %u)",
-        version, kKgPackVersion));
-  }
-  const std::string_view payload = bytes.substr(kHeaderBytes);
-  if (payload.size() < payload_size) {
-    return Status::ParseError(StrFormat(
-        "kgpack payload truncated: header declares %llu bytes, file has "
-        "%zu",
-        static_cast<unsigned long long>(payload_size), payload.size()));
-  }
-  if (payload.size() > payload_size) {
-    return Status::ParseError("trailing bytes after the kgpack payload");
-  }
-  if (Crc32(payload) != checksum) {
-    return Status::ParseError(
-        "kgpack checksum mismatch (file corrupted or partially written)");
-  }
+  const std::string_view payload =
+      bytes.substr(std::min(bytes.size(), kHeaderBytes));
+  KG_RETURN_NOT_OK(snapshot_internal::CheckHeader(bytes, payload.size(),
+                                                  Crc32(payload)));
 
   BinaryReader in(payload);
   Result<std::string_view> graph_body = ReadSection(&in, kSectionGraph);
@@ -376,9 +258,11 @@ Result<DatasetSnapshot> DecodeSnapshot(std::string_view bytes) {
 Status SaveSnapshot(const std::string& path, const KnowledgeGraph& graph,
                     const PredicateSpace& space,
                     const TransformationLibrary& library) {
-  Result<std::string> encoded = EncodeSnapshot(graph, space, library);
-  KG_RETURN_NOT_OK(encoded.status());
-  return WriteStringToFile(path, encoded.ValueOrDie());
+  KG_RETURN_NOT_OK(CheckEncodable(graph, space));
+  Result<std::unique_ptr<SnapshotStreamWriter>> writer =
+      SnapshotStreamWriter::Open(path);
+  KG_RETURN_NOT_OK(writer.status());
+  return WriteDataset(writer.ValueOrDie().get(), graph, space, library);
 }
 
 Result<DatasetSnapshot> LoadSnapshot(const std::string& path) {
@@ -389,16 +273,42 @@ Result<DatasetSnapshot> LoadSnapshot(const std::string& path) {
 
 namespace snapshot_internal {
 
-std::string EncodeLibraryBody(const TransformationLibrary& library) {
-  BinaryWriter out;
-  WriteLibrarySection(library, &out);
-  return out.Release();
-}
-
-std::string EncodeSpaceBody(const PredicateSpace& space) {
-  BinaryWriter out;
-  WriteSpaceSection(space, &out);
-  return out.Release();
+Status CheckHeader(std::string_view header, uint64_t payload_bytes,
+                   uint32_t payload_crc) {
+  if (header.size() < kHeaderBytes) {
+    return Status::ParseError(StrFormat(
+        "kgpack header truncated: %zu bytes, need %zu", header.size(),
+        kHeaderBytes));
+  }
+  if (!LooksLikeKgPack(header)) {
+    return Status::ParseError("not a kgpack snapshot (bad magic)");
+  }
+  BinaryReader in(header.substr(kKgPackMagic.size()));
+  uint32_t version = 0, checksum = 0;
+  uint64_t declared_bytes = 0;
+  KG_RETURN_NOT_OK(in.ReadU32(&version));
+  KG_RETURN_NOT_OK(in.ReadU64(&declared_bytes));
+  KG_RETURN_NOT_OK(in.ReadU32(&checksum));
+  if (version != kKgPackVersion) {
+    return Status::ParseError(StrFormat(
+        "kgpack version %u is not supported (this build reads version %u)",
+        version, kKgPackVersion));
+  }
+  if (payload_bytes < declared_bytes) {
+    return Status::ParseError(StrFormat(
+        "kgpack payload truncated: header declares %llu bytes, file has "
+        "%llu",
+        static_cast<unsigned long long>(declared_bytes),
+        static_cast<unsigned long long>(payload_bytes)));
+  }
+  if (payload_bytes > declared_bytes) {
+    return Status::ParseError("trailing bytes after the kgpack payload");
+  }
+  if (payload_crc != checksum) {
+    return Status::ParseError(
+        "kgpack checksum mismatch (file corrupted or partially written)");
+  }
+  return Status::OK();
 }
 
 }  // namespace snapshot_internal

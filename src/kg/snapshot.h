@@ -17,6 +17,10 @@
 //   [20.. ]  payload: the GRAPH, LIBRARY, and SPACE sections in that order,
 //            each prefixed by u32 section id + u64 section byte length
 //
+// Every kgpack byte is written by one encoder, SnapshotStreamWriter
+// (kg/snapshot_stream.h): EncodeSnapshot drives its in-memory sink,
+// SaveSnapshot and the scale generator its file sink.
+//
 // Decoding is total: wrong magic, versions from the future, truncation,
 // checksum mismatches, and structurally inconsistent payloads all return a
 // precise Status — never an abort, never a silently wrong graph (the graph
@@ -52,10 +56,16 @@ struct DatasetSnapshot {
   TransformationLibrary library;
 };
 
-/// Serializes a dataset to kgpack bytes. The graph must be finalized and
-/// `space` must cover the graph's predicates by id (name-checked), the same
-/// contract KgSession::RegisterDataset enforces; violations are
-/// kInvalidArgument.
+/// The consistency contract between a graph and its predicate space:
+/// `space` covers every graph predicate id, under the same name. The
+/// snapshot encoders and decoder and KgSession's dataset registration all
+/// call this one check; a violation is kInvalidArgument.
+Status CheckSpaceCoversGraph(const KnowledgeGraph& graph,
+                             const PredicateSpace& space);
+
+/// Serializes a dataset to kgpack bytes through SnapshotStreamWriter's
+/// in-memory sink. The graph must be finalized and pass
+/// CheckSpaceCoversGraph; violations are kInvalidArgument.
 Result<std::string> EncodeSnapshot(const KnowledgeGraph& graph,
                                    const PredicateSpace& space,
                                    const TransformationLibrary& library);
@@ -63,8 +73,11 @@ Result<std::string> EncodeSnapshot(const KnowledgeGraph& graph,
 /// Parses kgpack bytes back into a servable dataset.
 Result<DatasetSnapshot> DecodeSnapshot(std::string_view bytes);
 
-/// EncodeSnapshot + one atomic-ish file write (write then rename is not
-/// attempted; partial writes surface as checksum errors on load).
+/// Validates like EncodeSnapshot, then streams the dataset straight into
+/// `path` through SnapshotStreamWriter; the file is never held in memory
+/// whole. Invalid input is rejected before `path` is opened, so it leaves
+/// an existing file untouched. The write is in place (no write-then-rename):
+/// a save cut short leaves a file that fails its checksum on load.
 Status SaveSnapshot(const std::string& path, const KnowledgeGraph& graph,
                     const PredicateSpace& space,
                     const TransformationLibrary& library);
@@ -72,8 +85,8 @@ Status SaveSnapshot(const std::string& path, const KnowledgeGraph& graph,
 /// One bulk file read + DecodeSnapshot.
 Result<DatasetSnapshot> LoadSnapshot(const std::string& path);
 
-/// Format internals shared with the streaming writer (kg/snapshot_stream.h)
-/// so both emit bit-identical bytes from one implementation. Not API.
+/// Format internals shared by the writer (kg/snapshot_stream.h) and the
+/// decoder. Not API.
 namespace snapshot_internal {
 
 /// Payload section ids, in required file order.
@@ -84,12 +97,13 @@ inline constexpr uint32_t kSectionSpace = 3;
 /// Magic + version + payload length + CRC.
 inline constexpr size_t kHeaderBytes = 4 + 4 + 8 + 4;
 
-/// Section bodies (no id/length framing) exactly as EncodeSnapshot writes
-/// them. Library and space sections are small at any graph scale — alias
-/// records and one vector per predicate — so the streaming writer takes
-/// them whole.
-std::string EncodeLibraryBody(const TransformationLibrary& library);
-std::string EncodeSpaceBody(const PredicateSpace& space);
+/// The one header check, shared by DecodeSnapshot and
+/// VerifySnapshotFileChecksum: `header` starts with the file's first
+/// kHeaderBytes (fewer is a truncation error), and `payload_bytes` and
+/// `payload_crc` describe everything after them. Checks magic, version,
+/// declared payload length, and CRC, in that order; kParseError otherwise.
+Status CheckHeader(std::string_view header, uint64_t payload_bytes,
+                   uint32_t payload_crc);
 
 }  // namespace snapshot_internal
 

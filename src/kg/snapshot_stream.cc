@@ -21,8 +21,12 @@ static_assert(sizeof(Triple) == 12 &&
                   std::has_unique_object_representations_v<Triple>,
               "Triple must be a packed 3x u32 POD for bulk serialization");
 
-/// Graph-section array order; Begin* calls must follow it exactly so the
-/// streamed bytes match EncodeSnapshot's field order.
+/// Header slots Finish() patches (layout in kg/snapshot.h).
+constexpr uint64_t kPayloadLenSlot = 8;
+constexpr uint64_t kChecksumSlot = 16;
+
+/// Graph-section array order; Begin* calls must follow it exactly, since
+/// the decoder reads the arrays in this order.
 enum ArrayIndex : int {
   kArrayNames = 0,
   kArrayTypes = 1,
@@ -35,6 +39,21 @@ enum ArrayIndex : int {
   kArrayTypeMembers = 8,
   kArrayCount = 9,
 };
+
+/// CRC-32 of `in` from its read position to end of file, read in
+/// `chunk_bytes` pieces; `*bytes` receives how many bytes were folded in.
+uint32_t CrcToEnd(std::istream* in, size_t chunk_bytes, uint64_t* bytes) {
+  std::vector<char> chunk(chunk_bytes);
+  uint32_t crc = 0;
+  *bytes = 0;
+  while (in->read(chunk.data(), static_cast<std::streamsize>(chunk.size())),
+         in->gcount() > 0) {
+    const auto got = static_cast<size_t>(in->gcount());
+    crc = Crc32Update(crc, chunk.data(), got);
+    *bytes += got;
+  }
+  return crc;
+}
 
 }  // namespace
 
@@ -50,56 +69,68 @@ Result<std::unique_ptr<SnapshotStreamWriter>> SnapshotStreamWriter::Open(
                                      path.c_str()));
   }
   auto writer = std::unique_ptr<SnapshotStreamWriter>(
-      new SnapshotStreamWriter(std::move(file), buffer_bytes));
-
-  // Header with zeroed length/CRC slots, patched by Finish().
-  Status st = writer->WriteAt(0, kKgPackMagic.data(), kKgPackMagic.size());
-  if (!st.ok()) return st;
-  writer->cursor_ = kKgPackMagic.size();
-  const uint32_t version = kKgPackVersion;
-  st = writer->WriteAt(writer->cursor_, &version, sizeof(version));
-  if (!st.ok()) return st;
-  writer->cursor_ += sizeof(version);
-  writer->payload_len_slot_ = writer->cursor_;
-  const uint64_t zero64 = 0;
-  st = writer->WriteAt(writer->cursor_, &zero64, sizeof(zero64));
-  if (!st.ok()) return st;
-  writer->cursor_ += sizeof(zero64);
-  writer->checksum_slot_ = writer->cursor_;
-  const uint32_t zero32 = 0;
-  st = writer->WriteAt(writer->cursor_, &zero32, sizeof(zero32));
-  if (!st.ok()) return st;
-  writer->cursor_ += sizeof(zero32);
-  writer->payload_start_ = writer->cursor_;
-  KG_CHECK(writer->cursor_ == kHeaderBytes);
+      new SnapshotStreamWriter(std::move(file), nullptr, buffer_bytes));
+  KG_RETURN_NOT_OK(writer->status_);
   return writer;
 }
 
+std::unique_ptr<SnapshotStreamWriter> SnapshotStreamWriter::OpenInMemory(
+    std::string* out) {
+  out->clear();
+  // A zero buffer cap makes every region write go straight to the string.
+  return std::unique_ptr<SnapshotStreamWriter>(
+      new SnapshotStreamWriter(std::fstream(), out, 0));
+}
+
 SnapshotStreamWriter::SnapshotStreamWriter(std::fstream file,
+                                           std::string* memory,
                                            size_t buffer_bytes)
-    : file_(std::move(file)), buffer_cap_(buffer_bytes) {}
+    : file_(std::move(file)), memory_(memory), buffer_cap_(buffer_bytes) {
+  // Magic and version; the length and CRC slots stay zero until Finish().
+  char header[kHeaderBytes] = {};
+  std::memcpy(header, kKgPackMagic.data(), kKgPackMagic.size());
+  std::memcpy(header + kKgPackMagic.size(), &kKgPackVersion,
+              sizeof(kKgPackVersion));
+  status_ = WriteAtCursor(header, sizeof(header));
+}
 
 SnapshotStreamWriter::~SnapshotStreamWriter() = default;
+
+Status SnapshotStreamWriter::Fail(Status error) {
+  status_ = std::move(error);
+  return status_;
+}
 
 Status SnapshotStreamWriter::CheckStage(Stage expected, const char* what) {
   if (!status_.ok()) return status_;
   if (stage_ != expected) {
-    status_ = Status::InvalidArgument(
-        StrFormat("snapshot stream: %s called out of sequence", what));
+    return Fail(Status::InvalidArgument(
+        StrFormat("snapshot stream: %s called out of sequence", what)));
   }
-  return status_;
+  return Status::OK();
 }
 
 Status SnapshotStreamWriter::WriteAt(uint64_t pos, const void* data,
                                      size_t size) {
-  if (!status_.ok()) return status_;
+  if (!status_.ok() || size == 0) return status_;
+  if (memory_ != nullptr) {
+    if (memory_->size() < pos + size) memory_->resize(pos + size);
+    std::memcpy(memory_->data() + pos, data, size);
+    return Status::OK();
+  }
   file_.seekp(static_cast<std::streamoff>(pos));
   file_.write(static_cast<const char*>(data),
               static_cast<std::streamsize>(size));
   if (!file_.good()) {
-    status_ = Status::IOError("snapshot stream: file write failed");
+    return Fail(Status::IOError("snapshot stream: file write failed"));
   }
-  return status_;
+  return Status::OK();
+}
+
+Status SnapshotStreamWriter::WriteAtCursor(const void* data, size_t size) {
+  KG_RETURN_NOT_OK(WriteAt(cursor_, data, size));
+  cursor_ += size;
+  return Status::OK();
 }
 
 SnapshotStreamWriter::Region SnapshotStreamWriter::MakeRegion(uint64_t size) {
@@ -107,6 +138,9 @@ SnapshotStreamWriter::Region SnapshotStreamWriter::MakeRegion(uint64_t size) {
   r.file_pos = cursor_;
   r.remaining = size;
   cursor_ += size;
+  // The in-memory sink lays the region out now, so filling it never has to
+  // grow the string one element at a time.
+  if (memory_ != nullptr) memory_->resize(cursor_);
   return r;
 }
 
@@ -121,24 +155,28 @@ Status SnapshotStreamWriter::RegionWrite(Region* region, const void* data,
                                          size_t size) {
   if (!status_.ok()) return status_;
   if (size > region->remaining) {
-    status_ = Status::InvalidArgument(
-        "snapshot stream: append exceeds the declared array size");
-    return status_;
+    return Fail(Status::InvalidArgument(
+        "snapshot stream: append exceeds the declared array size"));
   }
   region->remaining -= size;
-  region->buffer.append(static_cast<const char*>(data), size);
-  TrackBuffered();
-  if (region->buffer.size() >= buffer_cap_) return FlushRegion(region);
-  return status_;
+  if (region->buffer.size() + size < buffer_cap_) {
+    region->buffer.append(static_cast<const char*>(data), size);
+    return Status::OK();
+  }
+  KG_RETURN_NOT_OK(FlushRegion(region));
+  KG_RETURN_NOT_OK(WriteAt(region->file_pos, data, size));
+  region->file_pos += size;
+  return Status::OK();
 }
 
 Status SnapshotStreamWriter::FlushRegion(Region* region) {
-  if (region->buffer.empty()) return status_;
+  if (region->buffer.empty()) return Status::OK();
+  TrackBuffered();
   KG_RETURN_NOT_OK(
       WriteAt(region->file_pos, region->buffer.data(), region->buffer.size()));
   region->file_pos += region->buffer.size();
   region->buffer.clear();
-  return status_;
+  return Status::OK();
 }
 
 Status SnapshotStreamWriter::WriteScalarU64(Region* region, uint64_t v) {
@@ -148,42 +186,37 @@ Status SnapshotStreamWriter::WriteScalarU64(Region* region, uint64_t v) {
 Status SnapshotStreamWriter::BeginGraphSection() {
   KG_RETURN_NOT_OK(CheckStage(Stage::kHeader, "BeginGraphSection"));
   const uint32_t id = kSectionGraph;
-  KG_RETURN_NOT_OK(WriteAt(cursor_, &id, sizeof(id)));
-  cursor_ += sizeof(id);
+  KG_RETURN_NOT_OK(WriteAtCursor(&id, sizeof(id)));
   graph_len_slot_ = cursor_;
   const uint64_t zero = 0;
-  KG_RETURN_NOT_OK(WriteAt(cursor_, &zero, sizeof(zero)));
-  cursor_ += sizeof(zero);
+  KG_RETURN_NOT_OK(WriteAtCursor(&zero, sizeof(zero)));
   graph_body_start_ = cursor_;
   array_index_ = 0;
   stage_ = Stage::kGraphOpen;
-  return status_;
+  return Status::OK();
 }
 
 Status SnapshotStreamWriter::BeginDictionary(uint64_t total_payload_bytes,
                                              uint64_t num_symbols) {
   KG_RETURN_NOT_OK(CheckStage(Stage::kGraphOpen, "BeginDictionary"));
   if (array_index_ > kArrayPredicates) {
-    status_ = Status::InvalidArgument(
-        "snapshot stream: all three dictionaries already written");
-    return status_;
+    return Fail(Status::InvalidArgument(
+        "snapshot stream: all three dictionaries already written"));
   }
-  // WriteString(blob): u64 length + blob bytes.
-  KG_RETURN_NOT_OK(WriteAt(cursor_, &total_payload_bytes,
-                           sizeof(total_payload_bytes)));
-  cursor_ += sizeof(total_payload_bytes);
+  // The blob as a string (u64 length + bytes), then the offsets table as a
+  // vector (u64 count + (num_symbols + 1) u64 entries).
+  KG_RETURN_NOT_OK(
+      WriteAtCursor(&total_payload_bytes, sizeof(total_payload_bytes)));
   blob_region_ = MakeRegion(total_payload_bytes);
-  // WriteVector(offsets): u64 count + (num_symbols + 1) u64 entries.
   const uint64_t offset_count = num_symbols + 1;
-  KG_RETURN_NOT_OK(WriteAt(cursor_, &offset_count, sizeof(offset_count)));
-  cursor_ += sizeof(offset_count);
+  KG_RETURN_NOT_OK(WriteAtCursor(&offset_count, sizeof(offset_count)));
   offsets_region_ = MakeRegion(offset_count * sizeof(uint64_t));
   dict_blob_off_ = 0;
   KG_RETURN_NOT_OK(WriteScalarU64(&offsets_region_, 0));
   expected_elems_ = num_symbols;
   appended_elems_ = 0;
   stage_ = Stage::kDictionary;
-  return status_;
+  return Status::OK();
 }
 
 Status SnapshotStreamWriter::AppendSymbol(std::string_view symbol) {
@@ -192,22 +225,21 @@ Status SnapshotStreamWriter::AppendSymbol(std::string_view symbol) {
   dict_blob_off_ += symbol.size();
   KG_RETURN_NOT_OK(WriteScalarU64(&offsets_region_, dict_blob_off_));
   ++appended_elems_;
-  return status_;
+  return Status::OK();
 }
 
 Status SnapshotStreamWriter::EndDictionary() {
   KG_RETURN_NOT_OK(CheckStage(Stage::kDictionary, "EndDictionary"));
   if (appended_elems_ != expected_elems_ || blob_region_.remaining != 0 ||
       offsets_region_.remaining != 0) {
-    status_ = Status::InvalidArgument(
-        "snapshot stream: dictionary appends do not match the declaration");
-    return status_;
+    return Fail(Status::InvalidArgument(
+        "snapshot stream: dictionary appends do not match the declaration"));
   }
   KG_RETURN_NOT_OK(FlushRegion(&blob_region_));
   KG_RETURN_NOT_OK(FlushRegion(&offsets_region_));
   ++array_index_;
   stage_ = Stage::kGraphOpen;
-  return status_;
+  return Status::OK();
 }
 
 Status SnapshotStreamWriter::BeginArray(Stage stage, int which,
@@ -216,31 +248,47 @@ Status SnapshotStreamWriter::BeginArray(Stage stage, int which,
                                         size_t element_bytes) {
   KG_RETURN_NOT_OK(CheckStage(Stage::kGraphOpen, what));
   if (array_index_ != which) {
-    status_ = Status::InvalidArgument(StrFormat(
-        "snapshot stream: %s called out of the graph array order", what));
-    return status_;
+    return Fail(Status::InvalidArgument(StrFormat(
+        "snapshot stream: %s called out of the graph array order", what)));
   }
-  KG_RETURN_NOT_OK(WriteAt(cursor_, &element_count, sizeof(element_count)));
-  cursor_ += sizeof(element_count);
+  KG_RETURN_NOT_OK(WriteAtCursor(&element_count, sizeof(element_count)));
   blob_region_ = MakeRegion(element_count * element_bytes);
   expected_elems_ = element_count;
   appended_elems_ = 0;
   stage_ = stage;
-  return status_;
+  return Status::OK();
+}
+
+Status SnapshotStreamWriter::AppendElements(Stage stage, const char* what,
+                                            const void* data, uint64_t count,
+                                            size_t element_bytes) {
+  KG_RETURN_NOT_OK(CheckStage(stage, what));
+  KG_RETURN_NOT_OK(RegionWrite(&blob_region_, data, count * element_bytes));
+  appended_elems_ += count;
+  return Status::OK();
 }
 
 Status SnapshotStreamWriter::EndArray(Stage stage, const char* what) {
   KG_RETURN_NOT_OK(CheckStage(stage, what));
   if (appended_elems_ != expected_elems_) {
-    status_ = Status::InvalidArgument(StrFormat(
+    return Fail(Status::InvalidArgument(StrFormat(
         "snapshot stream: %s before the declared element count was reached",
-        what));
-    return status_;
+        what)));
   }
   KG_RETURN_NOT_OK(FlushRegion(&blob_region_));
   ++array_index_;
   stage_ = Stage::kGraphOpen;
-  return status_;
+  return Status::OK();
+}
+
+template <typename T>
+Status SnapshotStreamWriter::WriteArray(Stage stage, int which,
+                                        std::span<const T> values) {
+  KG_RETURN_NOT_OK(
+      BeginArray(stage, which, "WriteGraph", values.size(), sizeof(T)));
+  KG_RETURN_NOT_OK(AppendElements(stage, "WriteGraph", values.data(),
+                                  values.size(), sizeof(T)));
+  return EndArray(stage, "WriteGraph");
 }
 
 Status SnapshotStreamWriter::BeginNodeTypes(uint64_t num_nodes) {
@@ -249,10 +297,8 @@ Status SnapshotStreamWriter::BeginNodeTypes(uint64_t num_nodes) {
 }
 
 Status SnapshotStreamWriter::AppendNodeType(TypeId type) {
-  KG_RETURN_NOT_OK(CheckStage(Stage::kNodeTypes, "AppendNodeType"));
-  KG_RETURN_NOT_OK(RegionWrite(&blob_region_, &type, sizeof(type)));
-  ++appended_elems_;
-  return status_;
+  return AppendElements(Stage::kNodeTypes, "AppendNodeType", &type, 1,
+                        sizeof(type));
 }
 
 Status SnapshotStreamWriter::EndNodeTypes() {
@@ -265,10 +311,8 @@ Status SnapshotStreamWriter::BeginTriples(uint64_t num_triples) {
 }
 
 Status SnapshotStreamWriter::AppendTriple(const Triple& triple) {
-  KG_RETURN_NOT_OK(CheckStage(Stage::kTriples, "AppendTriple"));
-  KG_RETURN_NOT_OK(RegionWrite(&blob_region_, &triple, sizeof(triple)));
-  ++appended_elems_;
-  return status_;
+  return AppendElements(Stage::kTriples, "AppendTriple", &triple, 1,
+                        sizeof(triple));
 }
 
 Status SnapshotStreamWriter::EndTriples() {
@@ -281,10 +325,8 @@ Status SnapshotStreamWriter::BeginAdjOffsets(uint64_t num_nodes) {
 }
 
 Status SnapshotStreamWriter::AppendAdjOffset(uint64_t offset) {
-  KG_RETURN_NOT_OK(CheckStage(Stage::kAdjOffsets, "AppendAdjOffset"));
-  KG_RETURN_NOT_OK(WriteScalarU64(&blob_region_, offset));
-  ++appended_elems_;
-  return status_;
+  return AppendElements(Stage::kAdjOffsets, "AppendAdjOffset", &offset, 1,
+                        sizeof(offset));
 }
 
 Status SnapshotStreamWriter::EndAdjOffsets() {
@@ -294,26 +336,22 @@ Status SnapshotStreamWriter::EndAdjOffsets() {
 Status SnapshotStreamWriter::BeginAdjacency(uint64_t num_entries) {
   KG_RETURN_NOT_OK(CheckStage(Stage::kGraphOpen, "BeginAdjacency"));
   if (array_index_ != kArrayAdjacency) {
-    status_ = Status::InvalidArgument(
+    return Fail(Status::InvalidArgument(
         "snapshot stream: BeginAdjacency called out of the graph array "
-        "order");
-    return status_;
+        "order"));
   }
-  // Three parallel WriteVector regions (neighbors, predicates, forward),
-  // filled together by AppendAdjEntry.
-  KG_RETURN_NOT_OK(WriteAt(cursor_, &num_entries, sizeof(num_entries)));
-  cursor_ += sizeof(num_entries);
+  // Three parallel vector regions (neighbors, predicates, forward), filled
+  // together by AppendAdjEntry.
+  KG_RETURN_NOT_OK(WriteAtCursor(&num_entries, sizeof(num_entries)));
   blob_region_ = MakeRegion(num_entries * sizeof(NodeId));
-  KG_RETURN_NOT_OK(WriteAt(cursor_, &num_entries, sizeof(num_entries)));
-  cursor_ += sizeof(num_entries);
+  KG_RETURN_NOT_OK(WriteAtCursor(&num_entries, sizeof(num_entries)));
   preds_region_ = MakeRegion(num_entries * sizeof(PredicateId));
-  KG_RETURN_NOT_OK(WriteAt(cursor_, &num_entries, sizeof(num_entries)));
-  cursor_ += sizeof(num_entries);
+  KG_RETURN_NOT_OK(WriteAtCursor(&num_entries, sizeof(num_entries)));
   flags_region_ = MakeRegion(num_entries * sizeof(uint8_t));
   expected_elems_ = num_entries;
   appended_elems_ = 0;
   stage_ = Stage::kAdjacency;
-  return status_;
+  return Status::OK();
 }
 
 Status SnapshotStreamWriter::AppendAdjEntry(const AdjEntry& entry) {
@@ -325,23 +363,22 @@ Status SnapshotStreamWriter::AppendAdjEntry(const AdjEntry& entry) {
   const uint8_t forward = entry.forward ? 1 : 0;
   KG_RETURN_NOT_OK(RegionWrite(&flags_region_, &forward, sizeof(forward)));
   ++appended_elems_;
-  return status_;
+  return Status::OK();
 }
 
 Status SnapshotStreamWriter::EndAdjacency() {
   KG_RETURN_NOT_OK(CheckStage(Stage::kAdjacency, "EndAdjacency"));
   if (appended_elems_ != expected_elems_) {
-    status_ = Status::InvalidArgument(
+    return Fail(Status::InvalidArgument(
         "snapshot stream: EndAdjacency before the declared entry count was "
-        "reached");
-    return status_;
+        "reached"));
   }
   KG_RETURN_NOT_OK(FlushRegion(&blob_region_));
   KG_RETURN_NOT_OK(FlushRegion(&preds_region_));
   KG_RETURN_NOT_OK(FlushRegion(&flags_region_));
   ++array_index_;
   stage_ = Stage::kGraphOpen;
-  return status_;
+  return Status::OK();
 }
 
 Status SnapshotStreamWriter::BeginTypeOffsets(uint64_t num_types) {
@@ -350,10 +387,8 @@ Status SnapshotStreamWriter::BeginTypeOffsets(uint64_t num_types) {
 }
 
 Status SnapshotStreamWriter::AppendTypeOffset(uint64_t offset) {
-  KG_RETURN_NOT_OK(CheckStage(Stage::kTypeOffsets, "AppendTypeOffset"));
-  KG_RETURN_NOT_OK(WriteScalarU64(&blob_region_, offset));
-  ++appended_elems_;
-  return status_;
+  return AppendElements(Stage::kTypeOffsets, "AppendTypeOffset", &offset, 1,
+                        sizeof(offset));
 }
 
 Status SnapshotStreamWriter::EndTypeOffsets() {
@@ -366,10 +401,8 @@ Status SnapshotStreamWriter::BeginTypeMembers(uint64_t num_members) {
 }
 
 Status SnapshotStreamWriter::AppendTypeMember(NodeId node) {
-  KG_RETURN_NOT_OK(CheckStage(Stage::kTypeMembers, "AppendTypeMember"));
-  KG_RETURN_NOT_OK(RegionWrite(&blob_region_, &node, sizeof(node)));
-  ++appended_elems_;
-  return status_;
+  return AppendElements(Stage::kTypeMembers, "AppendTypeMember", &node, 1,
+                        sizeof(node));
 }
 
 Status SnapshotStreamWriter::EndTypeMembers() {
@@ -379,83 +412,117 @@ Status SnapshotStreamWriter::EndTypeMembers() {
 Status SnapshotStreamWriter::EndGraphSection() {
   KG_RETURN_NOT_OK(CheckStage(Stage::kGraphOpen, "EndGraphSection"));
   if (array_index_ != kArrayCount) {
-    status_ = Status::InvalidArgument(
-        "snapshot stream: EndGraphSection with graph arrays missing");
-    return status_;
+    return Fail(Status::InvalidArgument(
+        "snapshot stream: EndGraphSection with graph arrays missing"));
   }
   const uint64_t body_len = cursor_ - graph_body_start_;
   KG_RETURN_NOT_OK(WriteAt(graph_len_slot_, &body_len, sizeof(body_len)));
   stage_ = Stage::kGraphDone;
-  return status_;
+  return Status::OK();
+}
+
+Status SnapshotStreamWriter::WriteGraph(const KnowledgeGraph& graph) {
+  if (!graph.finalized()) {
+    return Fail(Status::InvalidArgument(
+        "snapshot stream: WriteGraph needs a finalized graph"));
+  }
+  KG_RETURN_NOT_OK(BeginGraphSection());
+  for (const Dictionary* dict :
+       {&graph.names_dict(), &graph.types_dict(), &graph.predicates_dict()}) {
+    KG_RETURN_NOT_OK(BeginDictionary(dict->payload_bytes(), dict->size()));
+    for (SymbolId id = 0; id < dict->size(); ++id) {
+      KG_RETURN_NOT_OK(AppendSymbol(dict->Get(id)));
+    }
+    KG_RETURN_NOT_OK(EndDictionary());
+  }
+  KG_RETURN_NOT_OK(WriteArray(Stage::kNodeTypes, kArrayNodeTypes,
+                              std::span(graph.node_types())));
+  KG_RETURN_NOT_OK(
+      WriteArray(Stage::kTriples, kArrayTriples, std::span(graph.triples())));
+  KG_RETURN_NOT_OK(
+      WriteArray(Stage::kAdjOffsets, kArrayAdjOffsets, graph.adj_offsets()));
+  KG_RETURN_NOT_OK(BeginAdjacency(graph.adjacency().size()));
+  for (const AdjEntry& entry : graph.adjacency()) {
+    KG_RETURN_NOT_OK(AppendAdjEntry(entry));
+  }
+  KG_RETURN_NOT_OK(EndAdjacency());
+  KG_RETURN_NOT_OK(WriteArray(Stage::kTypeOffsets, kArrayTypeOffsets,
+                              graph.type_offsets()));
+  KG_RETURN_NOT_OK(WriteArray(Stage::kTypeMembers, kArrayTypeMembers,
+                              graph.type_members()));
+  return EndGraphSection();
 }
 
 Status SnapshotStreamWriter::WriteWholeSection(uint32_t id,
                                                std::string_view body) {
-  KG_RETURN_NOT_OK(WriteAt(cursor_, &id, sizeof(id)));
-  cursor_ += sizeof(id);
   const uint64_t len = body.size();
-  KG_RETURN_NOT_OK(WriteAt(cursor_, &len, sizeof(len)));
-  cursor_ += sizeof(len);
-  KG_RETURN_NOT_OK(WriteAt(cursor_, body.data(), body.size()));
-  cursor_ += body.size();
-  return status_;
+  KG_RETURN_NOT_OK(WriteAtCursor(&id, sizeof(id)));
+  KG_RETURN_NOT_OK(WriteAtCursor(&len, sizeof(len)));
+  return WriteAtCursor(body.data(), body.size());
 }
 
 Status SnapshotStreamWriter::WriteLibrarySection(
     const TransformationLibrary& library) {
   KG_RETURN_NOT_OK(CheckStage(Stage::kGraphDone, "WriteLibrarySection"));
-  KG_RETURN_NOT_OK(WriteWholeSection(
-      kSectionLibrary, snapshot_internal::EncodeLibraryBody(library)));
+  const auto records = library.ExportRecords();
+  BinaryWriter body;
+  body.WriteU64(records.size());
+  for (const auto& r : records) {
+    body.WriteU8(r.type_scope ? 1 : 0);
+    body.WriteU8(static_cast<uint8_t>(r.kind));
+    body.WriteString(r.alias);
+    body.WriteString(r.canonical);
+  }
+  KG_RETURN_NOT_OK(WriteWholeSection(kSectionLibrary, body.buffer()));
   stage_ = Stage::kLibraryDone;
-  return status_;
+  return Status::OK();
 }
 
 Status SnapshotStreamWriter::WriteSpaceSection(const PredicateSpace& space) {
   KG_RETURN_NOT_OK(CheckStage(Stage::kLibraryDone, "WriteSpaceSection"));
-  KG_RETURN_NOT_OK(WriteWholeSection(
-      kSectionSpace, snapshot_internal::EncodeSpaceBody(space)));
+  BinaryWriter body;
+  body.WriteU64(space.NumPredicates());
+  for (PredicateId p = 0; p < space.NumPredicates(); ++p) {
+    body.WriteString(space.names()[p]);
+    body.WriteVector(space.Vector(p));
+  }
+  KG_RETURN_NOT_OK(WriteWholeSection(kSectionSpace, body.buffer()));
   stage_ = Stage::kSpaceDone;
-  return status_;
+  return Status::OK();
 }
 
 Status SnapshotStreamWriter::Finish() {
   KG_RETURN_NOT_OK(CheckStage(Stage::kSpaceDone, "Finish"));
-  const uint64_t payload_len = cursor_ - payload_start_;
+  const uint64_t payload_len = cursor_ - kHeaderBytes;
   KG_RETURN_NOT_OK(
-      WriteAt(payload_len_slot_, &payload_len, sizeof(payload_len)));
-  file_.flush();
-  if (!file_.good()) {
-    status_ = Status::IOError("snapshot stream: flush failed");
-    return status_;
-  }
-
-  // CRC the payload by re-reading it in chunks; the writer never holds it.
+      WriteAt(kPayloadLenSlot, &payload_len, sizeof(payload_len)));
   uint32_t crc = 0;
-  std::vector<char> chunk(buffer_cap_);
-  file_.seekg(static_cast<std::streamoff>(payload_start_));
-  uint64_t left = payload_len;
-  while (left > 0) {
-    const size_t want =
-        static_cast<size_t>(std::min<uint64_t>(left, chunk.size()));
-    file_.read(chunk.data(), static_cast<std::streamsize>(want));
-    if (file_.gcount() != static_cast<std::streamsize>(want)) {
-      status_ = Status::IOError("snapshot stream: payload re-read failed");
-      return status_;
+  if (memory_ != nullptr) {
+    crc = Crc32(memory_->data() + kHeaderBytes, payload_len);
+  } else {
+    file_.flush();
+    if (!file_.good()) {
+      return Fail(Status::IOError("snapshot stream: flush failed"));
     }
-    crc = Crc32Update(crc, chunk.data(), want);
-    left -= want;
+    // CRC the payload by re-reading it in chunks; the writer never holds it.
+    file_.seekg(static_cast<std::streamoff>(kHeaderBytes));
+    uint64_t reread = 0;
+    crc = CrcToEnd(&file_, buffer_cap_, &reread);
+    file_.clear();  // re-reading to the end set eof
+    if (reread != payload_len) {
+      return Fail(Status::IOError("snapshot stream: payload re-read failed"));
+    }
   }
-  file_.clear();  // re-reading may have set eof
-  KG_RETURN_NOT_OK(WriteAt(checksum_slot_, &crc, sizeof(crc)));
-  file_.flush();
-  file_.close();
-  if (file_.fail()) {
-    status_ = Status::IOError("snapshot stream: close failed");
-    return status_;
+  KG_RETURN_NOT_OK(WriteAt(kChecksumSlot, &crc, sizeof(crc)));
+  if (memory_ == nullptr) {
+    file_.close();
+    if (file_.fail()) {
+      return Fail(Status::IOError("snapshot stream: close failed"));
+    }
   }
   stats_.file_bytes = cursor_;
   stage_ = Stage::kFinished;
-  return status_;
+  return Status::OK();
 }
 
 Result<bool> VerifySnapshotFileChecksum(const std::string& path) {
@@ -465,31 +532,12 @@ Result<bool> VerifySnapshotFileChecksum(const std::string& path) {
   }
   char header[kHeaderBytes];
   file.read(header, kHeaderBytes);
-  if (file.gcount() != static_cast<std::streamsize>(kHeaderBytes)) {
-    return false;
-  }
-  if (std::string_view(header, kKgPackMagic.size()) != kKgPackMagic) {
-    return false;
-  }
-  uint32_t version = 0, expected_crc = 0;
-  uint64_t payload_len = 0;
-  std::memcpy(&version, header + 4, sizeof(version));
-  std::memcpy(&payload_len, header + 8, sizeof(payload_len));
-  std::memcpy(&expected_crc, header + 16, sizeof(expected_crc));
-  if (version != kKgPackVersion) return false;
-
-  uint32_t crc = 0;
-  uint64_t seen = 0;
-  std::vector<char> chunk(1 << 20);
-  while (true) {
-    file.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
-    const std::streamsize got = file.gcount();
-    if (got <= 0) break;
-    crc = Crc32Update(crc, chunk.data(), static_cast<size_t>(got));
-    seen += static_cast<uint64_t>(got);
-    if (file.eof()) break;
-  }
-  return seen == payload_len && crc == expected_crc;
+  const std::string_view header_bytes(header,
+                                      static_cast<size_t>(file.gcount()));
+  uint64_t payload_bytes = 0;
+  const uint32_t crc = CrcToEnd(&file, 1 << 20, &payload_bytes);
+  return snapshot_internal::CheckHeader(header_bytes, payload_bytes, crc)
+      .ok();
 }
 
 }  // namespace kgsearch

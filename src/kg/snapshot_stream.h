@@ -1,15 +1,20 @@
-// Streaming kgpack snapshot writer.
+// The kgpack writer: the one encoder of kgpack bytes (kg/snapshot.h).
 //
-// EncodeSnapshot (kg/snapshot.h) holds the whole dataset plus one full copy
-// of its encoded bytes in memory — fine at laptop scale, impossible at the
-// million-node scale the generator targets. SnapshotStreamWriter produces a
-// byte-identical kgpack file while holding only O(buffer) memory:
+// EncodeSnapshot, SaveSnapshot, and the million-scale generator
+// (gen/scale_kg.h) all write through SnapshotStreamWriter, so their bytes
+// agree by construction. A writer has one of two sinks:
+//
+//  - a file (Open): holds only O(buffer) memory, so a generator can write
+//    a graph it never materializes;
+//  - a growable std::string (OpenInMemory): the bytes EncodeSnapshot
+//    returns, with the CRC computed in place.
+//
+// How the file sink stays bounded:
 //
 //  - Callers declare each graph array's size up front (counts are cheap to
 //    precompute with one extra pass over a deterministic source), then
 //    append elements; the writer computes every absolute file offset from
-//    the declared sizes and lays bytes down exactly where the in-memory
-//    encoder would have.
+//    the declared sizes and lays each byte down at its final position.
 //  - Arrays whose regions interleave in the file (a dictionary's blob and
 //    offsets table; the adjacency structure-of-arrays) are written through
 //    per-region cursors with small flush buffers, so one pass over the
@@ -20,14 +25,14 @@
 //
 // The writer enforces the declared sizes strictly: appending more or fewer
 // bytes/elements than declared is an error, so a bug cannot silently
-// produce a malformed file with a valid checksum. The byte-identity
-// contract against EncodeSnapshot is pinned by kg_snapshot_stream_test.
+// produce a malformed file with a valid checksum.
 #ifndef KGSEARCH_KG_SNAPSHOT_STREAM_H_
 #define KGSEARCH_KG_SNAPSHOT_STREAM_H_
 
 #include <cstdint>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,8 +51,9 @@ struct SnapshotStreamStats {
   size_t peak_buffered_bytes = 0;   ///< high-water mark across all buffers
 };
 
-/// Writes one kgpack snapshot file front to back. Call sequence mirrors the
-/// section layout:
+/// Writes one kgpack snapshot front to back. Call sequence mirrors the
+/// section layout; WriteGraph(graph) stands in for the whole graph section
+/// when a finalized graph is at hand:
 ///
 ///   BeginGraphSection
 ///     [names]      BeginDictionary AppendSymbol... EndDictionary
@@ -72,9 +78,19 @@ class SnapshotStreamWriter {
   static Result<std::unique_ptr<SnapshotStreamWriter>> Open(
       const std::string& path, size_t buffer_bytes = 1 << 20);
 
+  /// Writes into `*out` (cleared first; it must outlive the writer)
+  /// instead of a file; after Finish() it holds the whole kgpack.
+  /// Positioned writes go straight into the string, with no region buffers.
+  static std::unique_ptr<SnapshotStreamWriter> OpenInMemory(std::string* out);
+
   ~SnapshotStreamWriter();
   SnapshotStreamWriter(const SnapshotStreamWriter&) = delete;
   SnapshotStreamWriter& operator=(const SnapshotStreamWriter&) = delete;
+
+  /// The whole graph section of a finalized graph, its arrays in canonical
+  /// order; contiguous arrays are appended in bulk. Replaces the
+  /// BeginGraphSection ... EndGraphSection sequence.
+  Status WriteGraph(const KnowledgeGraph& graph);
 
   Status BeginGraphSection();
 
@@ -114,12 +130,13 @@ class SnapshotStreamWriter {
   Status EndGraphSection();
 
   /// Library/space sections are small (alias records, one vector per
-  /// predicate) and taken whole, byte-identical to the in-memory encoder.
+  /// predicate), so each is encoded whole and written in one piece.
   Status WriteLibrarySection(const TransformationLibrary& library);
   Status WriteSpaceSection(const PredicateSpace& space);
 
-  /// Flushes, patches the payload length, re-reads the payload to compute
-  /// the header CRC, patches it, and closes the file.
+  /// Flushes, patches the payload length, computes the header CRC (a
+  /// chunked re-read of the file, or in place in memory), patches it, and
+  /// closes the file.
   Status Finish();
 
   const SnapshotStreamStats& stats() const { return stats_; }
@@ -148,39 +165,52 @@ class SnapshotStreamWriter {
     kFinished,
   };
 
-  SnapshotStreamWriter(std::fstream file, size_t buffer_bytes);
+  /// `memory` null selects the file sink. Writes the header; an error
+  /// sticks in status_.
+  SnapshotStreamWriter(std::fstream file, std::string* memory,
+                       size_t buffer_bytes);
 
+  /// Records `error` as the sticky status and returns it.
+  Status Fail(Status error);
   Status CheckStage(Stage expected, const char* what);
-  /// Buffered append to one region; flushes at the buffer cap.
+  /// Append to one region: buffered while under the cap, written through
+  /// otherwise (always, for the in-memory sink).
   Status RegionWrite(Region* region, const void* data, size_t size);
   Status FlushRegion(Region* region);
-  /// Unbuffered positioned write (length patches).
+  /// Unbuffered positioned write into the sink (length patches).
   Status WriteAt(uint64_t pos, const void* data, size_t size);
+  /// WriteAt the cursor, then advance it (header, count prefixes, framing).
+  Status WriteAtCursor(const void* data, size_t size);
   Status WriteScalarU64(Region* region, uint64_t v);
   /// Declares a region at the current cursor and advances the cursor past
   /// it, so several regions can be filled in parallel.
   Region MakeRegion(uint64_t size);
+  /// Folds the bytes buffered across all regions into the peak. Called
+  /// before each flush: buffers only grow between flushes, so that is
+  /// where the total peaks.
   void TrackBuffered();
-  /// Shared body of the single-region array Begin*/End* pairs: enforces the
-  /// graph array order, writes the count prefix, sizes the region.
+  /// Shared body of the single-region array Begin*/Append*/End* methods:
+  /// Begin enforces the graph array order, writes the count prefix, and
+  /// sizes the region; Append takes any number of elements.
   Status BeginArray(Stage stage, int which, const char* what,
                     uint64_t element_count, size_t element_bytes);
+  Status AppendElements(Stage stage, const char* what, const void* data,
+                        uint64_t count, size_t element_bytes);
   Status EndArray(Stage stage, const char* what);
+  /// One whole single-region array (WriteGraph's bulk path).
+  template <typename T>
+  Status WriteArray(Stage stage, int which, std::span<const T> values);
   /// u32 id + u64 length + body, all at the cursor (library/space).
   Status WriteWholeSection(uint32_t id, std::string_view body);
 
   std::fstream file_;
+  std::string* memory_;  ///< the in-memory sink; null for the file sink
   size_t buffer_cap_;
   Status status_ = Status::OK();
   Stage stage_ = Stage::kHeader;
   SnapshotStreamStats stats_;
 
   uint64_t cursor_ = 0;  ///< end of the laid-out file so far
-
-  // Patch slots.
-  uint64_t payload_len_slot_ = 0;
-  uint64_t checksum_slot_ = 0;
-  uint64_t payload_start_ = 0;
   uint64_t graph_len_slot_ = 0;
   uint64_t graph_body_start_ = 0;
 
@@ -195,9 +225,10 @@ class SnapshotStreamWriter {
   int array_index_ = 0;         // next graph array expected (canonical order)
 };
 
-/// Convenience check used by generators: true when `path` now holds a
-/// well-formed kgpack file (magic + version + CRC all verify). Reads the
-/// file in chunks; never loads it whole.
+/// True when `path` holds a well-formed kgpack file: the header check
+/// DecodeSnapshot runs (magic, version, payload length, CRC) passes. Reads
+/// the file in chunks; never loads it whole. Tests use it to check
+/// generated files.
 Result<bool> VerifySnapshotFileChecksum(const std::string& path);
 
 }  // namespace kgsearch

@@ -36,9 +36,9 @@ inline uint32_t Crc32(std::string_view bytes) {
 
 /// Incremental CRC-32 over chunked input: start from 0, fold each chunk in
 /// order. Crc32Update over any chunking of a byte stream equals the
-/// one-shot Crc32 of the whole stream, so writers that never hold the full
-/// payload (kg/snapshot_stream.h) produce header checksums byte-identical
-/// to the in-memory encoder's.
+/// one-shot Crc32 of the whole stream, so the kgpack writer's file sink
+/// (kg/snapshot_stream.h), which never holds the full payload, computes the
+/// same header checksum its in-memory sink does.
 uint32_t Crc32Update(uint32_t crc, const void* data, size_t size);
 
 /// Append-only byte buffer with typed little-endian writers.
@@ -56,19 +56,6 @@ class BinaryWriter {
   /// Raw bytes, no length prefix.
   void WriteRaw(const void* data, size_t size) {
     buffer_.append(static_cast<const char*>(data), size);
-  }
-
-  /// Overwrites a previously written scalar at `offset` (its byte position
-  /// as returned by size() before the write). Lets encoders reserve a
-  /// length/checksum slot and fill it once the body size is known, instead
-  /// of buffering the body separately and copying it in.
-  void PatchU32(size_t offset, uint32_t v) {
-    KG_CHECK(offset + sizeof(v) <= buffer_.size());
-    std::memcpy(buffer_.data() + offset, &v, sizeof(v));
-  }
-  void PatchU64(size_t offset, uint64_t v) {
-    KG_CHECK(offset + sizeof(v) <= buffer_.size());
-    std::memcpy(buffer_.data() + offset, &v, sizeof(v));
   }
 
   /// u64 byte length + bytes. Embedded NULs are preserved.

@@ -7,6 +7,7 @@
 #include <future>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "kg/triple_io.h"
@@ -133,6 +134,35 @@ TEST(KgSessionRegistryTest, DuplicateAndInvalidRegistrations) {
                                  std::move(parts2.space), {})
                 .code(),
             StatusCode::kInvalidArgument);
+}
+
+// A space whose predicate names disagree with the graph's ids would answer
+// with the wrong semantics and could never be saved (SaveSnapshot checks
+// names), so registration rejects it just as the snapshot paths do.
+TEST(KgSessionRegistryTest, SpaceWithSwappedPredicateNamesIsRejected) {
+  KgSession session;
+  for (const bool replace : {false, true}) {
+    CarParts parts = MakeCarParts();
+    const PredicateSpace& good = *parts.space;
+    std::vector<FloatVec> vectors;
+    std::vector<std::string> names;
+    for (PredicateId p = 0; p < good.NumPredicates(); ++p) {
+      vectors.push_back(good.Vector(p));
+      names.push_back(good.PredicateName(p));
+    }
+    std::swap(names[0], names[1]);
+    auto swapped = std::make_unique<PredicateSpace>(std::move(vectors),
+                                                    std::move(names));
+    const Status st =
+        replace ? session.ReplaceDataset("cars", std::move(parts.graph),
+                                         std::move(swapped),
+                                         std::move(parts.library))
+                : session.RegisterDataset("cars", std::move(parts.graph),
+                                          std::move(swapped),
+                                          std::move(parts.library));
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    EXPECT_FALSE(session.HasDataset("cars"));
+  }
 }
 
 TEST(KgSessionQueryTest, TextQueryThroughLibraryRecords) {

@@ -108,51 +108,5 @@ TEST(TransETest, CooccurringPredicatesEmbedCloser) {
                         << ", far=" << far << ")";
 }
 
-TEST(TransEBinaryTest, RoundTripIsBitExact) {
-  KnowledgeGraph g;
-  ASSERT_TRUE(g.AddTriple("a", "p", "b").ok());
-  ASSERT_TRUE(g.AddTriple("b", "q", "c").ok());
-  ASSERT_TRUE(g.AddTriple("c", "p", "a").ok());
-  g.Finalize();
-  TransEConfig config;
-  config.dim = 12;
-  config.epochs = 5;
-  auto trained = TrainTransE(g, config);
-  ASSERT_TRUE(trained.ok());
-  const TransEEmbedding& original = trained.ValueOrDie();
-
-  const std::string bytes = SerializeTransEBinary(original);
-  auto restored = DeserializeTransEBinary(bytes);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  const TransEEmbedding& copy = restored.ValueOrDie();
-
-  // Exact float equality across every vector: the snapshot contract.
-  ASSERT_EQ(copy.entity.size(), original.entity.size());
-  ASSERT_EQ(copy.predicate.size(), original.predicate.size());
-  for (size_t i = 0; i < original.entity.size(); ++i) {
-    EXPECT_EQ(copy.entity[i], original.entity[i]) << "entity " << i;
-  }
-  for (size_t i = 0; i < original.predicate.size(); ++i) {
-    EXPECT_EQ(copy.predicate[i], original.predicate[i]) << "predicate " << i;
-  }
-  EXPECT_EQ(copy.final_epoch_loss, original.final_epoch_loss);
-}
-
-TEST(TransEBinaryTest, RejectsCorruptBlobs) {
-  TransEEmbedding emb;
-  emb.entity = {FloatVec{1.0f, 2.0f}};
-  emb.predicate = {FloatVec{3.0f, 4.0f}};
-  const std::string bytes = SerializeTransEBinary(emb);
-
-  EXPECT_FALSE(DeserializeTransEBinary("").ok());
-  EXPECT_FALSE(DeserializeTransEBinary("not an embedding").ok());
-  EXPECT_FALSE(DeserializeTransEBinary(bytes.substr(0, bytes.size() / 2)).ok());
-  EXPECT_FALSE(DeserializeTransEBinary(bytes + "x").ok());
-
-  std::string wrong_version = bytes;
-  wrong_version[4] = 99;  // version field follows the 4-byte magic
-  EXPECT_FALSE(DeserializeTransEBinary(wrong_version).ok());
-}
-
 }  // namespace
 }  // namespace kgsearch

@@ -325,6 +325,31 @@ TEST(SnapshotTest, SaveAndLoadRoundTripThroughDisk) {
   std::remove(path.c_str());
 }
 
+// Saving streams into the file, so validation must finish before the file
+// is opened (and truncated): an invalid save leaves an existing snapshot
+// byte-identical.
+TEST(SnapshotTest, InvalidSaveLeavesExistingFileUntouched) {
+  World w = MakeWorld();
+  const std::string path =
+      ::testing::TempDir() + "/kgpack_invalid_save_test.kgpack";
+  ASSERT_TRUE(SaveSnapshot(path, *w.graph, *w.space, w.library).ok());
+  Result<std::string> before = ReadFileToString(path);
+  ASSERT_TRUE(before.ok());
+
+  KnowledgeGraph unfinalized;
+  unfinalized.AddNode("a", "T");
+  EXPECT_EQ(SaveSnapshot(path, unfinalized, *w.space, w.library).code(),
+            StatusCode::kInvalidArgument);
+  PredicateSpace small({FloatVec{1.0f}}, {"assembly"});
+  EXPECT_EQ(SaveSnapshot(path, *w.graph, small, w.library).code(),
+            StatusCode::kInvalidArgument);
+
+  Result<std::string> after = ReadFileToString(path);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after.ValueOrDie(), before.ValueOrDie());
+  std::remove(path.c_str());
+}
+
 TEST(SnapshotTest, LoadFromMissingFileIsAnIOError) {
   Result<DatasetSnapshot> loaded =
       LoadSnapshot("/nonexistent/dir/missing.kgpack");

@@ -50,6 +50,16 @@ under gcc, where the Clang thread-safety attributes are no-ops):
                          pinned it, silently breaking the never-see-a-
                          half-applied-batch guarantee.
 
+  R7  kgpack-confinement kKgPackMagic, kKgPackVersion and
+                         snapshot_internal:: may appear only in
+                         src/kg/snapshot*.{h,cc}. kgpack bytes have one
+                         writer (SnapshotStreamWriter) and one decoder;
+                         code elsewhere that touches the magic, the
+                         version or the format internals is a second
+                         encoder or parser in the making. Sniff with
+                         LooksLikeKgPack and read/write through the
+                         snapshot API instead.
+
 Scope: src/ (and bench/ + examples/ for R1/R2's void-cast rule — they ship
 binaries, so their RNG and error handling follow the same bar). tests/ are
 exempt from R3 (test doubles may build ad-hoc synchronization) but not from
@@ -135,6 +145,12 @@ DELTA_ALLOWED = {
     Path("src/kg/delta_overlay.cc"),
 }
 
+# R7: kgpack format internals confined to the snapshot module ----------------
+KGPACK_RE = re.compile(
+    r"\b(kKgPackMagic|kKgPackVersion)\b|\bsnapshot_internal::")
+KGPACK_ALLOWED_DIR = Path("src/kg")
+KGPACK_ALLOWED_NAME_RE = re.compile(r"snapshot\w*\.(h|cc)")
+
 LINE_COMMENT_RE = re.compile(r"//.*$")
 
 
@@ -200,6 +216,8 @@ def check(root: Path) -> list[str]:
 
     for path in iter_sources(root, ["src", "bench", "examples"]):
         rel = path.relative_to(root)
+        kgpack_allowed = (rel.parent == KGPACK_ALLOWED_DIR and
+                          KGPACK_ALLOWED_NAME_RE.fullmatch(rel.name))
         lines = strip_comments(path.read_text(errors="replace"))
         for lineno, line in enumerate(lines, start=1):
             # R1 rng hygiene
@@ -251,6 +269,15 @@ def check(root: Path) -> list[str]:
                                "snapshot after readers pinned it; mutate "
                                "through DeltaOverlay::Commit and read via "
                                "shared_ptr<const DeltaSnapshot>")
+            # R7 kgpack-format confinement
+            if not kgpack_allowed:
+                for match in KGPACK_RE.finditer(line):
+                    report(path, lineno, "kgpack-confinement",
+                           f"{match.group(0)} outside kg/snapshot* starts "
+                           "a second kgpack encoder or parser; go through "
+                           "the snapshot API (LooksLikeKgPack, "
+                           "Encode/Decode/Save/LoadSnapshot, "
+                           "SnapshotStreamWriter)")
             # R4 escape hatch scope
             if ESCAPE_RE.search(line):
                 try:

@@ -241,6 +241,43 @@ class CheckInvariantsTest(unittest.TestCase):
                    "struct DeltaSnapshot { int epoch; };\n")
         self.assertEqual(self.violations(), [])
 
+    # ---- R7 kgpack-confinement ---------------------------------------------
+
+    def test_catches_kgpack_internals_outside_snapshot_module(self):
+        self.write("src/api/session.cc",
+                   "bool Sniff(std::string_view b) {\n"
+                   "  return b.substr(0, 4) == kKgPackMagic;\n"
+                   "}\n"
+                   "size_t n = snapshot_internal::kHeaderBytes;\n")
+        self.write("bench/bench_pack.cc",
+                   "uint32_t v = kgsearch::kKgPackVersion;\n")
+        self.assertEqual(self.rules().count("kgpack-confinement"), 3)
+
+    def test_catches_kgpack_internals_in_other_kg_files(self):
+        # Only snapshot*.{h,cc} under src/kg/ are exempt, not all of kg/.
+        self.write("src/kg/triple_io.cc",
+                   "bool IsPack(uint32_t v) { return v == kKgPackVersion; }\n")
+        self.write("src/gen/snapshot_gen.cc",
+                   "auto id = snapshot_internal::kSectionGraph;\n")
+        self.assertEqual(self.rules().count("kgpack-confinement"), 2)
+
+    def test_allows_kgpack_internals_inside_snapshot_module(self):
+        self.write("src/kg/snapshot.h",
+                   "inline constexpr uint32_t kKgPackVersion = 1;\n"
+                   "inline constexpr std::string_view kKgPackMagic = "
+                   "\"KGPK\";\n")
+        self.write("src/kg/snapshot_stream.cc",
+                   "using snapshot_internal::kHeaderBytes;\n"
+                   "uint32_t v = kKgPackVersion;\n")
+        self.assertEqual(self.violations(), [])
+
+    def test_ignores_kgpack_names_in_comments(self):
+        self.write("src/api/session.cc",
+                   "// LooksLikeKgPack compares against kKgPackMagic.\n"
+                   "/* snapshot_internal::CheckHeader: kKgPackVersion */\n"
+                   "int x();\n")
+        self.assertEqual(self.violations(), [])
+
     # ---- reporting ---------------------------------------------------------
 
     def test_reports_path_line_and_rule(self):
