@@ -6,6 +6,8 @@
 // first proves the snapshot-loaded session answers the standard workload
 // bit-identically to the parsed-and-trained one; results land in
 // BENCH_snapshot_load.json.
+#include <unistd.h>
+
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -23,9 +25,13 @@ constexpr size_t kLoadPasses = 9;
 constexpr double kMinSpeedup = 10.0;  // the acceptance gate
 
 int Run() {
-  const std::string graph_path = "/tmp/kgsearch_bench_snapshot_graph.nt";
-  const std::string library_path = "/tmp/kgsearch_bench_snapshot_lib.tsv";
-  const std::string pack_path = "/tmp/kgsearch_bench_snapshot.kgpack";
+  // Per-process names, so concurrent runs never share or delete each
+  // other's files.
+  const std::string prefix =
+      "/tmp/kgsearch_bench_snapshot_" + std::to_string(::getpid());
+  const std::string graph_path = prefix + "_graph.nt";
+  const std::string library_path = prefix + "_lib.tsv";
+  const std::string pack_path = prefix + ".kgpack";
 
   auto generated = GenerateDataset(DbpediaLikeSpec(0.4, 42));
   if (!generated.ok()) {

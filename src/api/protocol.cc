@@ -514,6 +514,14 @@ JsonValue EncodeIngestRequest(const IngestRequest& request) {
   return json;
 }
 
+Status CheckIngestOp(const IngestOpDto& op) {
+  if (op.head.empty() || op.predicate.empty() || op.tail.empty()) {
+    return Status::InvalidArgument(
+        "ingest op needs non-empty head, predicate, and tail");
+  }
+  return Status::OK();
+}
+
 Result<IngestRequest> DecodeIngestRequest(const JsonValue& json) {
   if (!json.is_object()) {
     return Status::InvalidArgument("request must be a JSON object");
@@ -557,10 +565,7 @@ Result<IngestRequest> DecodeIngestRequest(const JsonValue& json) {
     Result<std::string> tail_type = JsonGetStringOr(o, "tail_type", "");
     KG_RETURN_NOT_OK(tail_type.status());
     op.tail_type = std::move(tail_type).ValueOrDie();
-    if (op.head.empty() || op.predicate.empty() || op.tail.empty()) {
-      return Status::InvalidArgument(
-          "ingest op needs non-empty head, predicate, and tail");
-    }
+    KG_RETURN_NOT_OK(CheckIngestOp(op));
     request.ops.push_back(std::move(op));
   }
   return request;

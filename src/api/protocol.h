@@ -171,6 +171,10 @@ struct IngestOpDto {
   bool operator==(const IngestOpDto&) const = default;
 };
 
+/// The rule every ingest op obeys, on the wire and in process: head,
+/// predicate and tail are non-empty. kInvalidArgument otherwise.
+Status CheckIngestOp(const IngestOpDto& op);
+
 /// An atomically applied mutation batch against a named dataset's delta
 /// overlay (kg/delta_overlay.h). Wire form:
 ///   {"v":1,"ingest":{"dataset":"d","ops":[{"op":"add","head":"a",

@@ -446,6 +446,7 @@ Result<IngestResponse> KgSession::Ingest(const IngestRequest& request) {
   MutationBatch batch;
   batch.ops.reserve(request.ops.size());
   for (const IngestOpDto& op : request.ops) {
+    KG_RETURN_NOT_OK(CheckIngestOp(op));
     batch.ops.push_back(
         op.retract ? Mutation::Retract(op.head, op.predicate, op.tail)
                    : Mutation::Add(op.head, op.predicate, op.tail,

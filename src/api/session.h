@@ -167,9 +167,10 @@ class KgSession {
   /// Commits one mutation batch against the named dataset's delta overlay,
   /// all-or-nothing; the response carries the epoch the batch published.
   /// Queries accepted after the commit returns see every op; queries
-  /// already pinned keep their snapshot. Predicates of added triples must
-  /// already exist in the dataset (its predicate space has no embedding
-  /// rows for new ones): kInvalidArgument otherwise. A batch that races a
+  /// already pinned keep their snapshot. Every op must pass CheckIngestOp
+  /// (api/protocol.h), and predicates of added triples must already exist
+  /// in the dataset (its predicate space has no embedding rows for new
+  /// ones): kInvalidArgument otherwise. A batch that races a
   /// concurrent compaction/replacement is retried transparently against
   /// the new registry entry.
   Result<IngestResponse> Ingest(const IngestRequest& request);

@@ -204,8 +204,8 @@ class ScaleModel {
   /// Replays the whole edge stream in canonical order (node id order,
   /// hub-ring edges for hubs, sampled edges for members), invoking
   /// fn(head, pred_key, tail) per emitted edge. The stream is duplicate-
-  /// and self-loop-free, so AddEdge never dedups behind our back and the
-  /// streamed triple array matches the in-memory one exactly.
+  /// and self-loop-free, so Finalize() drops no repeats and the streamed
+  /// triple array matches the in-memory one exactly.
   template <typename Fn>
   void EmitAllEdges(Fn&& fn) const {
     for (uint64_t c = 0; c < C_; ++c) {
@@ -559,9 +559,9 @@ Result<ScaleGenReport> GenerateScaleKgToFile(const ScaleKgSpec& spec,
   KG_RETURN_NOT_OK(w.EndAdjOffsets());
 
   // CSR adjacency in node-range buckets: each bucket replays the edge
-  // stream, collects only its own entries, sorts per node exactly like
-  // KnowledgeGraph::Finalize(), and streams them out. Peak memory is one
-  // bucket, never the whole CSR.
+  // stream, collects only its own entries, sorts per node with
+  // AdjEntryLess as KnowledgeGraph::Finalize() does, and streams them out.
+  // Peak memory is one bucket, never the whole CSR.
   KG_RETURN_NOT_OK(w.BeginAdjacency(2 * E));
   {
     uint64_t lo = 0;
@@ -600,11 +600,7 @@ Result<ScaleGenReport> GenerateScaleKgToFile(const ScaleKgSpec& spec,
             entries.begin() + static_cast<int64_t>(cursor[id - lo]);
         const auto end =
             entries.begin() + static_cast<int64_t>(cursor[id - lo + 1]);
-        std::sort(begin, end, [](const AdjEntry& a, const AdjEntry& b) {
-          if (a.neighbor != b.neighbor) return a.neighbor < b.neighbor;
-          if (a.predicate != b.predicate) return a.predicate < b.predicate;
-          return a.forward < b.forward;
-        });
+        std::sort(begin, end, AdjEntryLess);
         for (auto it = begin; it != end && append_status.ok(); ++it) {
           append_status = w.AppendAdjEntry(*it);
         }

@@ -2,16 +2,11 @@
 
 #include <algorithm>
 #include <set>
-#include <tuple>
 #include <utility>
 
 namespace kgsearch {
 
 namespace {
-
-uint64_t PackPair(NodeId a, NodeId b) {
-  return (static_cast<uint64_t>(a) << 32) | b;
-}
 
 // ----- snapshot build helpers (operate on the commit-local clone) -----
 
@@ -84,21 +79,6 @@ std::vector<AdjEntry>& EnsureAdjacency(DeltaSnapshot& s,
   return s.adjacency.emplace(u, std::move(list)).first->second;
 }
 
-/// Materializes the directed-edge predicate override list for (head, tail).
-std::vector<PredicateId>& EnsureEdgeList(DeltaSnapshot& s,
-                                         const KnowledgeGraph& base,
-                                         NodeId head, NodeId tail) {
-  const uint64_t key = PackPair(head, tail);
-  auto it = s.edge_predicates.find(key);
-  if (it != s.edge_predicates.end()) return it->second;
-  std::vector<PredicateId> list;
-  if (head < s.base_nodes && tail < s.base_nodes) {
-    std::span<const PredicateId> from_base = base.TriplePredicates(head, tail);
-    list.assign(from_base.begin(), from_base.end());
-  }
-  return s.edge_predicates.emplace(key, std::move(list)).first->second;
-}
-
 void InsertAdjSorted(std::vector<AdjEntry>& list, AdjEntry e) {
   auto pos = std::lower_bound(list.begin(), list.end(), e, AdjEntryLess);
   list.insert(pos, e);
@@ -110,25 +90,19 @@ void EraseAdjSorted(std::vector<AdjEntry>& list, AdjEntry e) {
   list.erase(pos);
 }
 
-bool IsBaseTriple(const DeltaSnapshot& s, const KnowledgeGraph& base,
-                  NodeId h, PredicateId p, NodeId t) {
-  return h < s.base_nodes && t < s.base_nodes && p < s.base_predicates &&
-         base.HasTriple(h, p, t);
-}
-
 Status ApplyAdd(DeltaSnapshot& s, const KnowledgeGraph& base,
                 const Mutation& op) {
   NodeId h = EnsureNode(s, base, op.head, op.head_type);
   NodeId t = EnsureNode(s, base, op.tail, op.tail_type);
   PredicateId p = EnsurePredicate(s, base, op.predicate);
-  if (s.HasTriple(h, p, t, base)) return Status::OK();  // idempotent
+  // Re-adding a live triple is an idempotent no-op.
+  if (GraphView(&base, &s).HasTriple(h, p, t)) return Status::OK();
 
   InsertAdjSorted(EnsureAdjacency(s, base, h), AdjEntry{t, p, true});
   InsertAdjSorted(EnsureAdjacency(s, base, t), AdjEntry{h, p, false});
-  EnsureEdgeList(s, base, h, t).push_back(p);
 
   const Triple triple{h, p, t};
-  if (IsBaseTriple(s, base, h, p, t)) {
+  if (base.HasTriple(h, p, t)) {
     // A retracted base triple coming back: un-retract, don't double-store.
     auto it = std::find(s.retracted.begin(), s.retracted.end(), triple);
     KG_CHECK(it != s.retracted.end());
@@ -152,17 +126,15 @@ Status ApplyRetract(DeltaSnapshot& s, const KnowledgeGraph& base,
   if (t == kInvalidNode) return missing("unknown tail node");
   PredicateId p = ResolvePredicate(s, base, op.predicate);
   if (p == kInvalidSymbol) return missing("unknown predicate");
-  if (!s.HasTriple(h, p, t, base)) return missing("triple does not exist");
+  if (!GraphView(&base, &s).HasTriple(h, p, t)) {
+    return missing("triple does not exist");
+  }
 
   EraseAdjSorted(EnsureAdjacency(s, base, h), AdjEntry{t, p, true});
   EraseAdjSorted(EnsureAdjacency(s, base, t), AdjEntry{h, p, false});
-  std::vector<PredicateId>& preds = EnsureEdgeList(s, base, h, t);
-  auto pit = std::find(preds.begin(), preds.end(), p);
-  KG_CHECK(pit != preds.end());
-  preds.erase(pit);
 
   const Triple triple{h, p, t};
-  if (IsBaseTriple(s, base, h, p, t)) {
+  if (base.HasTriple(h, p, t)) {
     s.retracted.push_back(triple);
   } else {
     auto it = std::find(s.added.begin(), s.added.end(), triple);
@@ -198,7 +170,6 @@ Result<uint64_t> DeltaOverlay::Commit(const MutationBatch& batch) {
     next->base_nodes = base_->NumNodes();
     next->base_types = base_->NumTypes();
     next->base_predicates = base_->NumPredicates();
-    next->base_edges = base_->NumEdges();
     next->num_edges = base_->NumEdges();
   }
 
@@ -265,19 +236,13 @@ Result<std::unique_ptr<KnowledgeGraph>> FoldDelta(const KnowledgeGraph& base,
   }
 
   // Surviving base triples in base order, then delta adds in commit order.
-  if (delta == nullptr || delta->retracted.empty()) {
-    for (const Triple& tr : base.triples()) {
-      folded->AddEdge(tr.head, view.PredicateName(tr.predicate), tr.tail);
-    }
-  } else {
-    std::set<std::tuple<NodeId, PredicateId, NodeId>> retracted;
-    for (const Triple& tr : delta->retracted) {
-      retracted.emplace(tr.head, tr.predicate, tr.tail);
-    }
-    for (const Triple& tr : base.triples()) {
-      if (retracted.contains({tr.head, tr.predicate, tr.tail})) continue;
-      folded->AddEdge(tr.head, view.PredicateName(tr.predicate), tr.tail);
-    }
+  std::set<Triple> retracted;
+  if (delta != nullptr) {
+    retracted.insert(delta->retracted.begin(), delta->retracted.end());
+  }
+  for (const Triple& tr : base.triples()) {
+    if (retracted.contains(tr)) continue;
+    folded->AddEdge(tr.head, view.PredicateName(tr.predicate), tr.tail);
   }
   if (delta != nullptr) {
     for (const Triple& tr : delta->added) {

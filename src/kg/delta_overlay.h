@@ -16,11 +16,17 @@
 //            for as long as the reader holds the pin, no matter how many
 //            commits land meanwhile.
 //
-// Commit cost is O(|delta|) per batch (the clone), not O(|base|). That is
-// the deliberate trade: reads stay allocation-free spans on the hot path,
-// and the delta is kept small by background compaction — FoldDelta() bakes
-// base+delta into a fresh finalized KnowledgeGraph (bit-identical to a
-// from-scratch build with the same id order), which the session layer
+// A snapshot's merged per-node adjacency lists are its only edge structure:
+// the idempotent-add check, retract validation and GraphView::HasTriple
+// all binary-search the head's list, and an op's edge upkeep is two sorted
+// inserts or erases.
+//
+// Commit cost is O(|delta|) per batch (the clone of the dictionary
+// extensions, name indexes, merged lists and triple lists), not O(|base|).
+// That is the deliberate trade: reads stay allocation-free spans on the hot
+// path, and the delta is kept small by background compaction — FoldDelta()
+// bakes base+delta into a fresh finalized KnowledgeGraph (bit-identical to
+// a from-scratch build with the same id order), which the session layer
 // swaps in blue-green (api/session.h) and the overlay starts empty again.
 //
 // Thread safety: Commit/Snapshot/Retire are safe to call concurrently from

@@ -2,15 +2,9 @@
 
 #include <algorithm>
 #include <memory>
-#include <tuple>
+#include <numeric>
 
 namespace kgsearch {
-
-namespace {
-uint64_t PackPair(NodeId a, NodeId b) {
-  return (static_cast<uint64_t>(a) << 32) | b;
-}
-}  // namespace
 
 NodeId KnowledgeGraph::AddNode(std::string_view name, std::string_view type) {
   KG_CHECK(!finalized_);
@@ -26,12 +20,7 @@ void KnowledgeGraph::AddEdge(NodeId head, std::string_view predicate,
                              NodeId tail) {
   KG_CHECK(!finalized_);
   KG_CHECK(head < node_types_.size() && tail < node_types_.size());
-  PredicateId p = predicates_.Intern(predicate);
-  uint64_t key = PackPair(head, tail);
-  auto& preds = edge_index_[key];
-  if (std::find(preds.begin(), preds.end(), p) != preds.end()) return;
-  preds.push_back(p);
-  triples_.push_back(Triple{head, p, tail});
+  triples_.push_back(Triple{head, predicates_.Intern(predicate), tail});
 }
 
 Status KnowledgeGraph::AddTriple(std::string_view head_name,
@@ -51,6 +40,23 @@ Status KnowledgeGraph::AddTriple(std::string_view head_name,
 void KnowledgeGraph::Finalize() {
   KG_CHECK(!finalized_);
   const size_t n = node_types_.size();
+
+  // Drop repeated triples, keeping each first occurrence in place: a stable
+  // sort of indices puts every repeat right after its first occurrence.
+  std::vector<size_t> order(triples_.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [this](size_t a, size_t b) {
+    return triples_[a] < triples_[b];
+  });
+  std::vector<bool> repeat(triples_.size(), false);
+  for (size_t i = 1; i < order.size(); ++i) {
+    repeat[order[i]] = triples_[order[i]] == triples_[order[i - 1]];
+  }
+  size_t kept = 0;
+  for (size_t i = 0; i < triples_.size(); ++i) {
+    if (!repeat[i]) triples_[kept++] = triples_[i];
+  }
+  triples_.resize(kept);
 
   // Undirected CSR: each stored triple contributes one forward entry at the
   // head and one reverse entry at the tail.
@@ -106,37 +112,29 @@ Result<std::unique_ptr<KnowledgeGraph>> KnowledgeGraph::FromFlatParts(
   for (TypeId t : parts.node_types) {
     if (t >= num_types) return fail("node type id out of range");
   }
-  std::unordered_map<uint64_t, std::vector<PredicateId>> edge_index;
-  edge_index.reserve(parts.triples.size());
+  std::vector<uint64_t> degree(n, 0);
   for (const Triple& t : parts.triples) {
     if (t.head >= n || t.tail >= n) return fail("triple node out of range");
     if (t.predicate >= num_preds) {
       return fail("triple predicate out of range");
     }
-    auto& preds = edge_index[PackPair(t.head, t.tail)];
-    if (std::find(preds.begin(), preds.end(), t.predicate) != preds.end()) {
-      return fail("duplicate triple");
-    }
-    preds.push_back(t.predicate);
+    ++degree[t.head];
+    ++degree[t.tail];
   }
 
   // CSR adjacency: offsets must be a monotone prefix-sum ending at 2|E|,
-  // per-node degrees must match the triples, each list must be strictly
-  // sorted the way Finalize() sorts (neighbor, predicate, forward), and
-  // every entry must correspond to a stored triple in the direction its
-  // flag claims. Degrees matching + strictness + per-entry triple existence
-  // together force the adjacency to be exactly the triples' CSR, so a
+  // per-node degrees must match the triples, and each list must be
+  // strictly sorted in the canonical AdjEntryLess order. Then every triple
+  // claims its forward entry at the head and its reverse entry at the tail
+  // by binary search; no entry may be claimed twice. 2|E| distinct claims
+  // over 2|E| entries claim every entry once, which forces the adjacency to
+  // be exactly the triples' CSR and the triples to be distinct, so a
   // checksum-valid but inconsistent snapshot cannot install a graph whose
   // index contradicts its triple set.
   if (parts.adj_offsets.size() != n + 1 || parts.adj_offsets[0] != 0 ||
       parts.adj_offsets[n] != parts.adj.size() ||
       parts.adj.size() != 2 * num_edges) {
     return fail("adjacency offsets malformed");
-  }
-  std::vector<uint64_t> degree(n, 0);
-  for (const Triple& t : parts.triples) {
-    ++degree[t.head];
-    ++degree[t.tail];
   }
   for (size_t u = 0; u < n; ++u) {
     if (parts.adj_offsets[u] > parts.adj_offsets[u + 1]) {
@@ -152,23 +150,29 @@ Result<std::unique_ptr<KnowledgeGraph>> KnowledgeGraph::FromFlatParts(
       if (e.predicate >= num_preds) {
         return fail("adjacency predicate out of range");
       }
-      if (i > parts.adj_offsets[u]) {
-        const AdjEntry& prev = parts.adj[i - 1];
-        if (std::tie(prev.neighbor, prev.predicate, prev.forward) >=
-            std::tie(e.neighbor, e.predicate, e.forward)) {
-          return fail("adjacency list not strictly sorted");
-        }
-      }
-      const uint64_t key = e.forward
-                               ? PackPair(static_cast<NodeId>(u), e.neighbor)
-                               : PackPair(e.neighbor, static_cast<NodeId>(u));
-      auto it = edge_index.find(key);
-      if (it == edge_index.end() ||
-          std::find(it->second.begin(), it->second.end(), e.predicate) ==
-              it->second.end()) {
-        return fail("adjacency entry has no matching triple");
+      if (i > parts.adj_offsets[u] && !AdjEntryLess(parts.adj[i - 1], e)) {
+        return fail("adjacency list not strictly sorted");
       }
     }
+  }
+  std::vector<bool> claimed(parts.adj.size(), false);
+  auto claim = [&](NodeId u, const AdjEntry& e) -> Status {
+    const auto begin = parts.adj.begin() +
+                       static_cast<int64_t>(parts.adj_offsets[u]);
+    const auto end = parts.adj.begin() +
+                     static_cast<int64_t>(parts.adj_offsets[u + 1]);
+    const auto it = std::lower_bound(begin, end, e, AdjEntryLess);
+    if (it == end || *it != e) {
+      return fail("adjacency entry has no matching triple");
+    }
+    const size_t i = static_cast<size_t>(it - parts.adj.begin());
+    if (claimed[i]) return fail("duplicate triple");
+    claimed[i] = true;
+    return Status::OK();
+  };
+  for (const Triple& t : parts.triples) {
+    KG_RETURN_NOT_OK(claim(t.head, AdjEntry{t.tail, t.predicate, true}));
+    KG_RETURN_NOT_OK(claim(t.tail, AdjEntry{t.head, t.predicate, false}));
   }
 
   // Type index: offsets partition the node set and every member has the
@@ -202,24 +206,8 @@ Result<std::unique_ptr<KnowledgeGraph>> KnowledgeGraph::FromFlatParts(
   graph->adj_ = std::move(parts.adj);
   graph->type_offsets_ = std::move(parts.type_offsets);
   graph->type_members_ = std::move(parts.type_members);
-  graph->edge_index_ = std::move(edge_index);
   graph->finalized_ = true;
   return graph;
-}
-
-bool KnowledgeGraph::HasTriple(NodeId head, PredicateId predicate,
-                               NodeId tail) const {
-  auto it = edge_index_.find(PackPair(head, tail));
-  if (it == edge_index_.end()) return false;
-  const auto& preds = it->second;
-  return std::find(preds.begin(), preds.end(), predicate) != preds.end();
-}
-
-std::span<const PredicateId> KnowledgeGraph::TriplePredicates(
-    NodeId head, NodeId tail) const {
-  auto it = edge_index_.find(PackPair(head, tail));
-  if (it == edge_index_.end()) return {};
-  return it->second;
 }
 
 }  // namespace kgsearch

@@ -8,11 +8,12 @@
 #ifndef KGSEARCH_KG_GRAPH_H_
 #define KGSEARCH_KG_GRAPH_H_
 
+#include <algorithm>
+#include <compare>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "kg/dictionary.h"
@@ -32,7 +33,7 @@ struct Triple {
   PredicateId predicate;
   NodeId tail;
 
-  bool operator==(const Triple&) const = default;
+  auto operator<=>(const Triple&) const = default;
 };
 
 /// One entry in a node's undirected adjacency list.
@@ -46,14 +47,24 @@ struct AdjEntry {
 };
 
 /// The canonical adjacency-list order: by neighbor id, then predicate, then
-/// direction flag. Finalize(), FromFlatParts validation, and the delta
-/// overlay's merged lists all sort with this one comparator, so a merged
-/// overlay list is bit-identical to the list a from-scratch Finalize()
-/// would build.
+/// direction flag. Finalize(), FromFlatParts validation, the scale
+/// generator's streamed CSR, and the delta overlay's merged lists all sort
+/// with this one comparator, so a merged overlay list is bit-identical to
+/// the list a from-scratch Finalize() would build, and triple existence is
+/// a binary search of the head's list (see HasTripleIn).
 inline bool AdjEntryLess(const AdjEntry& a, const AdjEntry& b) {
   if (a.neighbor != b.neighbor) return a.neighbor < b.neighbor;
   if (a.predicate != b.predicate) return a.predicate < b.predicate;
   return a.forward < b.forward;
+}
+
+/// True when `head_list` — the adjacency list of a triple's head, in
+/// canonical AdjEntryLess order — holds the forward entry of
+/// (head, predicate, tail).
+inline bool HasTripleIn(std::span<const AdjEntry> head_list,
+                        PredicateId predicate, NodeId tail) {
+  return std::binary_search(head_list.begin(), head_list.end(),
+                            AdjEntry{tail, predicate, true}, AdjEntryLess);
 }
 
 /// Immutable-after-finalize knowledge graph with CSR adjacency and
@@ -72,8 +83,9 @@ class KnowledgeGraph {
   /// The type of an existing node is not changed.
   NodeId AddNode(std::string_view name, std::string_view type);
 
-  /// Adds a directed edge. Duplicate (head, predicate, tail) triples are
-  /// stored once. Must be called before Finalize().
+  /// Appends a directed edge. A repeated (head, predicate, tail) triple is
+  /// kept until Finalize(), which stores it once. Must be called before
+  /// Finalize().
   void AddEdge(NodeId head, std::string_view predicate, NodeId tail);
 
   /// Convenience: adds nodes by name (type "Thing" if new) and the edge.
@@ -83,8 +95,9 @@ class KnowledgeGraph {
   Status AddTriple(std::string_view head_name, std::string_view predicate,
                    std::string_view tail_name);
 
-  /// Builds CSR adjacency and secondary indexes. Must be called exactly once,
-  /// after which the graph is immutable.
+  /// Drops repeated triples (each first occurrence keeps its place), then
+  /// builds CSR adjacency and secondary indexes. Must be called exactly
+  /// once, after which the graph is immutable.
   void Finalize();
 
   bool finalized() const { return finalized_; }
@@ -121,7 +134,8 @@ class KnowledgeGraph {
   /// Type id by name; kInvalidSymbol when absent.
   TypeId FindType(std::string_view name) const { return types_.Lookup(name); }
 
-  /// All stored directed triples, in insertion order.
+  /// All stored directed triples, in insertion order; before Finalize() it
+  /// still holds repeats, as do NumEdges() and AverageDegree().
   const std::vector<Triple>& triples() const { return triples_; }
 
   // ----- finalized-only indexes -----
@@ -145,15 +159,12 @@ class KnowledgeGraph {
         type_offsets_[t + 1] - type_offsets_[t]);
   }
 
-  /// True when a directed edge (head, predicate, tail) exists.
+  /// True when a directed edge (head, predicate, tail) exists: a binary
+  /// search of the head's adjacency list. False for out-of-range ids.
   /// Requires Finalize().
-  bool HasTriple(NodeId head, PredicateId predicate, NodeId tail) const;
-
-  /// Predicates of all stored directed edges (head -> tail); empty when the
-  /// pair has no edge. Used by the delta overlay to seed its per-pair
-  /// override lists. Requires Finalize().
-  std::span<const PredicateId> TriplePredicates(NodeId head,
-                                                NodeId tail) const;
+  bool HasTriple(NodeId head, PredicateId predicate, NodeId tail) const {
+    return head < NumNodes() && HasTripleIn(Neighbors(head), predicate, tail);
+  }
 
   /// Average undirected degree. Requires Finalize().
   double AverageDegree() const {
@@ -210,10 +221,11 @@ class KnowledgeGraph {
   };
 
   /// Restores a finalized graph by installing prebuilt CSR/index vectors —
-  /// no re-sorting, no re-parsing; only the directed-edge hash index is
-  /// rebuilt (O(|E|)). Every structural invariant Finalize() would have
-  /// established is re-checked; violations are ParseErrors, never aborts,
-  /// so corrupt snapshots cannot produce a graph that later trips KG_CHECK.
+  /// no re-sorting, no re-parsing, no index to rebuild. Every structural
+  /// invariant Finalize() would have established is re-checked, the CSR
+  /// against the triples by binary search (O(|E| log degree)); violations
+  /// are ParseErrors, never aborts, so corrupt snapshots cannot produce a
+  /// graph that later trips KG_CHECK.
   static Result<std::unique_ptr<KnowledgeGraph>> FromFlatParts(
       FlatParts parts);
 
@@ -229,9 +241,6 @@ class KnowledgeGraph {
   std::vector<AdjEntry> adj_;
   std::vector<uint64_t> type_offsets_;  // size NumTypes()+1
   std::vector<NodeId> type_members_;
-  // Directed triple existence check: key packs (head, tail), value lists
-  // predicates. Sized ~NumEdges.
-  std::unordered_map<uint64_t, std::vector<PredicateId>> edge_index_;
 };
 
 }  // namespace kgsearch

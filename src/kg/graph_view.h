@@ -16,6 +16,8 @@
 //    retractions plus additions, in canonical AdjEntryLess order), so
 //    Neighbors() still returns a contiguous std::span with zero per-read
 //    merge cost — the merge price is paid once, at commit time.
+//  - Those merged lists are the delta's only edge structure: HasTriple() is
+//    a binary search of the head's list, exactly as on the base CSR.
 //  - GraphView is a two-pointer value type; it is cheap to copy and carries
 //    no ownership. Whoever builds one must keep the base graph and the
 //    pinned snapshot (shared_ptr) alive for the view's lifetime.
@@ -30,27 +32,9 @@
 #include <vector>
 
 #include "kg/graph.h"
+#include "util/string_util.h"
 
 namespace kgsearch {
-
-namespace graph_view_internal {
-/// Transparent string hashing so snapshot indexes can be probed with a
-/// string_view without materializing a std::string.
-struct StringHash {
-  using is_transparent = void;
-  size_t operator()(std::string_view s) const {
-    return std::hash<std::string_view>{}(s);
-  }
-};
-struct StringEq {
-  using is_transparent = void;
-  bool operator()(std::string_view a, std::string_view b) const {
-    return a == b;
-  }
-};
-template <typename V>
-using StringMap = std::unordered_map<std::string, V, StringHash, StringEq>;
-}  // namespace graph_view_internal
 
 /// One immutable published state of a delta overlay. Built exclusively by
 /// DeltaOverlay::Commit (clone → validate → apply → publish); readers hold
@@ -67,16 +51,19 @@ struct DeltaSnapshot {
   size_t base_nodes = 0;
   size_t base_types = 0;
   size_t base_predicates = 0;
-  size_t base_edges = 0;
 
   // ----- dictionary extensions (append-only across commits) -----
   std::vector<std::string> node_names;
   std::vector<TypeId> node_types;  // parallel to node_names
   std::vector<std::string> type_names;
   std::vector<std::string> predicate_names;
-  graph_view_internal::StringMap<NodeId> name_index;
-  graph_view_internal::StringMap<TypeId> type_index;
-  graph_view_internal::StringMap<PredicateId> predicate_index;
+  // Probed with string_views (transparent hashing).
+  std::unordered_map<std::string, NodeId, StringViewHash, StringViewEq>
+      name_index;
+  std::unordered_map<std::string, TypeId, StringViewHash, StringViewEq>
+      type_index;
+  std::unordered_map<std::string, PredicateId, StringViewHash, StringViewEq>
+      predicate_index;
 
   // ----- merged structure for every node the delta touches -----
   /// Fully merged adjacency (canonical AdjEntryLess order) for each node
@@ -87,9 +74,6 @@ struct DeltaSnapshot {
   /// base type membership never changes, so concatenating the base span
   /// with this list keeps the whole membership sorted).
   std::unordered_map<TypeId, std::vector<NodeId>> type_members;
-  /// Directed-edge predicate override per touched (head, tail) pair; the
-  /// key packs head<<32|tail. A present entry REPLACES the base list.
-  std::unordered_map<uint64_t, std::vector<PredicateId>> edge_predicates;
 
   // ----- net effect on the triple set (drives compaction + differential) --
   /// Delta-born triples currently live, in first-add order.
@@ -98,19 +82,6 @@ struct DeltaSnapshot {
   std::vector<Triple> retracted;
   /// Net edge count of the merged graph.
   size_t num_edges = 0;
-
-  bool HasTriple(NodeId head, PredicateId predicate, NodeId tail,
-                 const KnowledgeGraph& base) const {
-    auto it = edge_predicates.find((static_cast<uint64_t>(head) << 32) | tail);
-    if (it != edge_predicates.end()) {
-      for (PredicateId p : it->second) {
-        if (p == predicate) return true;
-      }
-      return false;
-    }
-    return head < base_nodes && tail < base_nodes &&
-           base.HasTriple(head, predicate, tail);
-  }
 };
 
 /// Concatenation of the base type-membership span and the delta's addition
@@ -274,9 +245,10 @@ class GraphView {
     return TypeMemberRange(base_part, extra_part);
   }
 
+  /// Directed triple existence: a binary search of the head's merged
+  /// list. False for out-of-range ids.
   bool HasTriple(NodeId head, PredicateId predicate, NodeId tail) const {
-    if (delta_) return delta_->HasTriple(head, predicate, tail, *base_);
-    return base_->HasTriple(head, predicate, tail);
+    return head < NumNodes() && HasTripleIn(Neighbors(head), predicate, tail);
   }
 
  private:

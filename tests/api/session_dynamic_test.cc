@@ -116,6 +116,31 @@ TEST(SessionIngestTest, ValidationErrors) {
   EXPECT_EQ(session.DatasetEpoch("cars").ValueOrDie(), 0u);
 }
 
+// The in-process path applies the wire decoder's op rule: an op with an
+// empty head, predicate or tail is rejected before anything commits.
+TEST(SessionIngestTest, EmptyOpFieldsAreRejectedInProcess) {
+  KgSession session;
+  ASSERT_TRUE(RegisterCars(&session).ok());
+  const size_t nodes_before = session.ListDatasets()[0].nodes;
+
+  IngestRequest empty_head = AddCar("");
+  EXPECT_EQ(session.Ingest(empty_head).status().code(),
+            StatusCode::kInvalidArgument);
+  IngestRequest empty_tail = AddCar("VW_Golf");
+  empty_tail.ops[0].retract = true;
+  empty_tail.ops[0].tail = "";
+  EXPECT_EQ(session.Ingest(empty_tail).status().code(),
+            StatusCode::kInvalidArgument);
+  // A bad op anywhere in the batch rejects the whole batch.
+  IngestRequest mixed = AddCar("VW_Golf");
+  mixed.ops.push_back(AddCar("").ops[0]);
+  EXPECT_EQ(session.Ingest(mixed).status().code(),
+            StatusCode::kInvalidArgument);
+
+  EXPECT_EQ(session.DatasetEpoch("cars").ValueOrDie(), 0u);
+  EXPECT_EQ(session.ListDatasets()[0].nodes, nodes_before);
+}
+
 TEST(SessionIngestTest, ListDatasetsReportsLiveViewCountsAndEpoch) {
   KgSession session;
   ASSERT_TRUE(RegisterCars(&session).ok());

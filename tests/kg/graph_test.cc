@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace kgsearch {
 namespace {
 
@@ -46,6 +48,21 @@ TEST(GraphTest, DuplicateTriplesStoredOnce) {
   g.AddEdge(a, "q", b);  // distinct predicate allowed
   g.Finalize();
   EXPECT_EQ(g.NumEdges(), 2u);
+
+  // A repeat is dropped where it stands; first occurrences keep their
+  // insertion order.
+  KnowledgeGraph h;
+  a = h.AddNode("A", "T");
+  b = h.AddNode("B", "T");
+  h.AddEdge(a, "p", b);
+  h.AddEdge(a, "q", b);
+  h.AddEdge(a, "p", b);
+  h.Finalize();
+  const PredicateId p = h.FindPredicate("p");
+  const PredicateId q = h.FindPredicate("q");
+  EXPECT_EQ(h.triples(), (std::vector<Triple>{{a, p, b}, {a, q, b}}));
+  EXPECT_EQ(h.Degree(a), 2u);
+  EXPECT_EQ(h.Degree(b), 2u);
 }
 
 TEST(GraphTest, NeighborsContainBothDirections) {
@@ -92,6 +109,28 @@ TEST(GraphTest, HasTripleIsDirected) {
   EXPECT_TRUE(g.HasTriple(audi, assembly, germany));
   EXPECT_FALSE(g.HasTriple(germany, assembly, audi));
   EXPECT_FALSE(g.HasTriple(audi, g.FindPredicate("location"), germany));
+
+  // Out-of-range ids answer false instead of aborting.
+  const NodeId past_end = static_cast<NodeId>(g.NumNodes());
+  EXPECT_FALSE(g.HasTriple(past_end, assembly, germany));
+  EXPECT_FALSE(g.HasTriple(kInvalidNode, assembly, germany));
+  EXPECT_FALSE(g.HasTriple(audi, assembly, past_end));
+  EXPECT_FALSE(g.HasTriple(audi, assembly, kInvalidNode));
+  EXPECT_FALSE(g.HasTriple(audi, kInvalidSymbol, germany));
+
+  // A self-loop is one triple with both of its entries at the same node.
+  KnowledgeGraph loop;
+  NodeId a = loop.AddNode("A", "T");
+  NodeId b = loop.AddNode("B", "T");
+  loop.AddEdge(a, "p", a);
+  loop.AddEdge(b, "p", a);
+  loop.Finalize();
+  const PredicateId p = loop.FindPredicate("p");
+  EXPECT_TRUE(loop.HasTriple(a, p, a));
+  EXPECT_TRUE(loop.HasTriple(b, p, a));
+  EXPECT_FALSE(loop.HasTriple(a, p, b));
+  EXPECT_FALSE(loop.HasTriple(b, p, b));
+  EXPECT_EQ(loop.Degree(a), 3u);
 }
 
 TEST(GraphTest, AddTripleConvenience) {

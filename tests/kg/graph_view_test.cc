@@ -132,5 +132,54 @@ TEST(GraphViewTest, TypeMembershipConcatenatesSorted) {
   EXPECT_EQ(base->FindType("Robot"), kInvalidSymbol);  // base untouched
 }
 
+TEST(GraphViewTest, HasTripleRejectsOutOfRangeIdsAndSeesSelfLoops) {
+  std::unique_ptr<KnowledgeGraph> base = MakeBase();
+  const NodeId a = base->FindNode("A");
+  const NodeId b = base->FindNode("B");
+  const PredicateId knows = base->FindPredicate("knows");
+
+  // Without a delta: out-of-range ids answer false instead of aborting.
+  const GraphView plain(*base);
+  const NodeId past_base = static_cast<NodeId>(base->NumNodes());
+  EXPECT_TRUE(plain.HasTriple(a, knows, b));
+  EXPECT_FALSE(plain.HasTriple(past_base, knows, b));
+  EXPECT_FALSE(plain.HasTriple(kInvalidNode, knows, b));
+  EXPECT_FALSE(plain.HasTriple(a, knows, past_base));
+  EXPECT_FALSE(plain.HasTriple(a, kInvalidSymbol, b));
+
+  // With a delta: self-loops on a base node and on a delta-born node.
+  DeltaOverlay overlay(base.get());
+  MutationBatch batch;
+  batch.ops.push_back(Mutation::Add("A", "knows", "A"));
+  batch.ops.push_back(Mutation::Add("D", "knows", "D", "Person"));
+  ASSERT_TRUE(overlay.Commit(batch).ok());
+  std::shared_ptr<const DeltaSnapshot> pinned = overlay.Snapshot();
+  const GraphView view(base.get(), pinned.get());
+  const NodeId d = view.FindNode("D");
+  ASSERT_EQ(d, past_base);
+  EXPECT_TRUE(view.HasTriple(a, knows, a));
+  EXPECT_TRUE(view.HasTriple(d, knows, d));
+  EXPECT_TRUE(view.HasTriple(a, knows, b));
+  EXPECT_FALSE(view.HasTriple(d, knows, a));
+  EXPECT_FALSE(base->HasTriple(a, knows, a));  // base untouched
+  EXPECT_EQ(view.Degree(d), 2u);
+
+  const NodeId past_view = static_cast<NodeId>(view.NumNodes());
+  EXPECT_FALSE(view.HasTriple(past_view, knows, d));
+  EXPECT_FALSE(view.HasTriple(kInvalidNode, knows, d));
+  EXPECT_FALSE(view.HasTriple(d, knows, past_view));
+  EXPECT_FALSE(view.HasTriple(d, kInvalidSymbol, d));
+
+  // Retracting a self-loop removes both of its entries.
+  MutationBatch retract;
+  retract.ops.push_back(Mutation::Retract("D", "knows", "D"));
+  ASSERT_TRUE(overlay.Commit(retract).ok());
+  std::shared_ptr<const DeltaSnapshot> after = overlay.Snapshot();
+  const GraphView view2(base.get(), after.get());
+  EXPECT_FALSE(view2.HasTriple(d, knows, d));
+  EXPECT_EQ(view2.Degree(d), 0u);
+  EXPECT_TRUE(view.HasTriple(d, knows, d));  // the pinned epoch is unchanged
+}
+
 }  // namespace
 }  // namespace kgsearch

@@ -314,6 +314,37 @@ TEST(SnapshotTest, RestoreRejectsDuplicateAdjacencyEntries) {
       << restored.status().ToString();
 }
 
+// A repeated triple is rejected even when degrees, sortedness and every
+// per-triple entry lookup check out: two copies of (a,p,b) and the entries
+// of (a,q,b) give the right degrees, yet no triple is (a,q,b), and the
+// second (a,p,b) finds its entries already claimed by the first.
+TEST(SnapshotTest, RestoreRejectsDuplicateTriples) {
+  KnowledgeGraph::FlatParts parts;
+  parts.names.Intern("a");
+  parts.names.Intern("b");
+  parts.types.Intern("Thing");
+  parts.predicates.Intern("p");
+  parts.predicates.Intern("q");
+  parts.node_types = {0, 0};
+  parts.triples = {Triple{0, 0, 1}, Triple{0, 0, 1}};  // (a,p,b) twice
+  parts.adj_offsets = {0, 2, 4};
+  parts.adj = {
+      AdjEntry{1, 0, true},   // (a,p,b) forward
+      AdjEntry{1, 1, true},   // (a,q,b) forward
+      AdjEntry{0, 0, false},  // (a,p,b) reverse
+      AdjEntry{0, 1, false},  // (a,q,b) reverse
+  };
+  parts.type_offsets = {0, 2};
+  parts.type_members = {0, 1};
+
+  auto restored = KnowledgeGraph::FromFlatParts(std::move(parts));
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kParseError);
+  EXPECT_NE(restored.status().message().find("duplicate triple"),
+            std::string::npos)
+      << restored.status().ToString();
+}
+
 TEST(SnapshotTest, SaveAndLoadRoundTripThroughDisk) {
   World w = MakeWorld();
   const std::string path =
