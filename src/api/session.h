@@ -64,7 +64,8 @@ struct KgSessionOptions {
   size_t num_threads = 0;
   /// Decomposition-plan cache entries per dataset; 0 disables.
   size_t decomposition_cache_capacity = 512;
-  /// Matcher candidate cache entries per dataset per kind; 0 disables.
+  /// Matcher candidate cache entries (specific-node names) per dataset;
+  /// 0 disables.
   size_t matcher_cache_capacity = 4096;
   /// Per-dataset admission limits (see service/admission.h): requests over
   /// capacity fail fast with kResourceExhausted instead of queueing

@@ -11,6 +11,9 @@ namespace kgsearch {
 
 namespace {
 
+/// Longest path the 16-bit stage, hop and depth counters below can hold.
+constexpr size_t kMaxPathHops = 65535;
+
 /// One explored partial path, stored in an arena with parent links.
 struct SearchNode {
   NodeId node;
@@ -38,9 +41,10 @@ struct QueueLess {
   }
 };
 
+/// Packs (node, stage, hops_in_stage) into disjoint 32/16/16-bit fields.
 uint64_t StateKey(const SearchNode& n) {
-  return (static_cast<uint64_t>(n.node) << 16) |
-         (static_cast<uint64_t>(n.stage) << 8) | n.hops_in_stage;
+  return (static_cast<uint64_t>(n.node) << 32) |
+         (static_cast<uint64_t>(n.stage) << 16) | n.hops_in_stage;
 }
 
 PathMatch Reconstruct(const std::vector<SearchNode>& arena, int32_t index) {
@@ -86,6 +90,11 @@ Result<std::vector<PathMatch>> AStarSearch(const GraphView& graph,
   }
   if (config.n_hat == 0) {
     return Status::InvalidArgument("n_hat must be >= 1");
+  }
+  // A path has at most n̂ · L hops, and every hop count must fit in 16 bits.
+  if (config.n_hat > kMaxPathHops / subquery.Length()) {
+    return Status::InvalidArgument(
+        "n_hat times the sub-query length must not exceed 65535");
   }
   if (config.tau <= 0.0 || config.tau > 1.0) {
     return Status::InvalidArgument("tau must be in (0, 1]");

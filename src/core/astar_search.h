@@ -49,7 +49,9 @@ struct AStarConfig {
   /// pss threshold τ (Definition 7); partial paths with estimate below τ are
   /// pruned without false negatives (Lemma 3).
   double tau = 0.8;
-  /// User-desired path length n̂ per query edge (Section V-A).
+  /// User-desired path length n̂ per query edge (Section V-A). The search
+  /// counts stages, hops and depth in 16 bits, so n̂ times the sub-query
+  /// length must not exceed 65535.
   size_t n_hat = 4;
   /// Matches emitted per distinct target node in optimal mode. Values above
   /// 1 require kExactState (the paper-mode visited set admits each node

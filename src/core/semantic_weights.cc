@@ -17,7 +17,7 @@ SemanticWeights::SemanticWeights(const GraphView& graph,
   for (size_t s = 0; s < stages; ++s) {
     rows_[s].resize(num_preds);
     PredicateId q = subquery->edge_predicates[s];
-    // One contiguous pass over the SoA block per stage; bitwise-identical
+    // One contiguous pass over the vector block per stage; bitwise-identical
     // to the per-pair Weight() loop it replaces.
     space->WeightRow(q, num_preds, rows_[s].data());
   }
@@ -34,7 +34,7 @@ SemanticWeights::SemanticWeights(const GraphView& graph,
 
 double SemanticWeights::MaxAdjacentWeight(NodeId u, size_t stage) const {
   KG_CHECK(stage < rowmax_.size());
-  uint64_t key = (static_cast<uint64_t>(u) << 8) | stage;
+  uint64_t key = (static_cast<uint64_t>(u) << 32) | stage;
   auto it = m_cache_.find(key);
   if (it != m_cache_.end()) return it->second;
   double m = kMinWeight;

@@ -52,7 +52,7 @@ class SemanticWeights {
   std::vector<std::vector<double>> rows_;
   /// rowmax_[stage][pred] = max over query stages >= stage of rows_.
   std::vector<std::vector<double>> rowmax_;
-  /// cache key packs (node, stage).
+  /// cache key packs (node, stage) into disjoint 32-bit halves.
   mutable std::unordered_map<uint64_t, double> m_cache_;
 };
 

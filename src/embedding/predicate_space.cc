@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "embedding/simd_kernels.h"
 #include "util/string_util.h"
 #include "util/topk_heap.h"
 
@@ -13,7 +12,7 @@ namespace {
 
 /// Exact dot over two store rows at logical dimension: the same index
 /// order and double accumulation as vector_math::Dot on FloatVecs, so
-/// scores computed here are bitwise equal to the pre-SoA representation.
+/// scores computed here are bitwise equal to Dot over the same vectors.
 double ExactDot(const float* a, const float* b, size_t dim) {
   double s = 0.0;
   for (size_t i = 0; i < dim; ++i) s += static_cast<double>(a[i]) * b[i];
@@ -22,22 +21,12 @@ double ExactDot(const float* a, const float* b, size_t dim) {
 
 }  // namespace
 
-void PredicateSpace::InitDerived() {
-  KG_CHECK(store_.size() == names_.size());
-  norms_ = ComputeRowNormsL2(store_);
-  max_norm_ = 0.0;
-  for (float n : norms_) {
-    max_norm_ = std::max(max_norm_, static_cast<double>(n));
-  }
-}
-
 PredicateSpace::PredicateSpace(std::vector<FloatVec> vectors,
                                std::vector<std::string> names)
     : names_(std::move(names)) {
   KG_CHECK(vectors.size() == names_.size());
   for (FloatVec& v : vectors) NormalizeInPlace(&v);
   store_ = VectorStore::FromVectors(vectors);
-  InitDerived();
 }
 
 PredicateSpace PredicateSpace::FromTransE(const KnowledgeGraph& graph,
@@ -57,7 +46,6 @@ PredicateSpace PredicateSpace::FromStore(VectorStore store,
   PredicateSpace space;
   space.store_ = std::move(store);
   space.names_ = std::move(names);
-  space.InitDerived();
   return space;
 }
 
@@ -87,41 +75,17 @@ void PredicateSpace::WeightRow(PredicateId q, size_t count,
 std::vector<SimilarPredicate> PredicateSpace::TopSimilar(PredicateId p,
                                                          size_t n) const {
   KG_CHECK(p < store_.size());
-  const size_t total = store_.size();
-  const size_t keep = std::min(n, total - 1);
+  const size_t keep = std::min(n, store_.size() - 1);
   if (keep == 0) return {};
 
-  // Float selection pass: one batched kernel scan over the flat block.
-  std::vector<float> scores(total);
-  simd::DotBatch(store_.Row(p), store_.data(), total, store_.stride(),
-                 scores.data());
-  TopKHeap<PredicateId> select(keep);
-  for (PredicateId q = 0; q < total; ++q) {
-    if (q == p) continue;
-    select.Push(static_cast<double>(scores[q]), q);
-  }
-
-  // Every exact-top-k member's float score is within DotErrorBound of its
-  // exact score, and the float kth score is within the same bound of the
-  // exact kth score — so keeping everything above (float kth − 2·bound)
-  // provably retains the exact answer. The exact re-rank then restores
-  // bit-identical scores and ordering.
-  const double margin =
-      simd::DotErrorBound(store_.dim(), norms_[p], max_norm_);
-  const double threshold = select.MinScore() - 2.0 * margin;
-
-  // Pushing in ascending id order makes TopKHeap's insertion-order tie
-  // break equal the historical (similarity desc, id asc) comparator.
-  TopKHeap<PredicateId> exact(keep);
-  for (PredicateId q = 0; q < total; ++q) {
-    if (q == p) continue;
-    if (static_cast<double>(scores[q]) < threshold) continue;
-    exact.Push(Cosine(p, q), q);
-  }
+  // SimilarityScan visits ids in ascending order, so TopKHeap's
+  // insertion-order tie break equals the (similarity desc, id asc) order.
+  TopKHeap<PredicateId> top(keep);
+  SimilarityScan(p, [&top](PredicateId q, double s) { top.Push(s, q); });
 
   std::vector<SimilarPredicate> out;
   out.reserve(keep);
-  for (auto& entry : exact.TakeSortedDescending()) {
+  for (auto& entry : top.TakeSortedDescending()) {
     out.push_back(SimilarPredicate{entry.second, entry.first});
   }
   return out;

@@ -5,15 +5,11 @@
 // semantic graph are clamped to [kMinWeight, 1] so the geometric-mean pss
 // (Eq. 6) stays well defined.
 //
-// Storage and query design: the vectors live in one contiguous SoA block
-// (embedding/vector_store.h) with per-row L2 norms precomputed at
-// construction. TopSimilar scans that block with the batched float kernels
-// (embedding/simd_kernels.h) to SELECT a candidate set, then re-ranks the
-// survivors with the exact double-accumulated scalar dot — the float pass
-// keeps every candidate within a proven error margin of the running kth
-// score, so the final answer is bit-identical to a full scalar scan.
-// Cosine(), Weight(), and SimilarityScan() always use the exact scalar
-// arithmetic directly.
+// Storage and arithmetic: the unit-normalized vectors live in one
+// contiguous block (embedding/vector_store.h), and every similarity —
+// Cosine(), Weight(), WeightRow(), TopSimilar() and SimilarityScan() — is
+// the same exact double-accumulated scalar dot over two rows, so each
+// entry point returns the same bits for the same pair.
 #ifndef KGSEARCH_EMBEDDING_PREDICATE_SPACE_H_
 #define KGSEARCH_EMBEDDING_PREDICATE_SPACE_H_
 
@@ -39,7 +35,7 @@ struct SimilarPredicate {
   double similarity;
 };
 
-/// Immutable predicate semantic space over a contiguous SoA vector block.
+/// Immutable predicate semantic space over a contiguous vector block.
 class PredicateSpace {
  public:
   /// Builds from explicit vectors, one per predicate id (normalized copies
@@ -83,8 +79,8 @@ class PredicateSpace {
   void WeightRow(PredicateId q, size_t count, double* out) const;
 
   /// The `n` predicates most similar to `p` (excluding `p`), descending,
-  /// ties broken by ascending predicate id. Kernel-pruned but bit-identical
-  /// to an exact full scan (see file comment).
+  /// ties broken by ascending predicate id: SimilarityScan into a top-n
+  /// heap.
   std::vector<SimilarPredicate> TopSimilar(PredicateId p, size_t n) const;
 
   /// Streams (q, Cosine(p, q)) for every q != p in ascending id order —
@@ -103,22 +99,16 @@ class PredicateSpace {
   static Result<PredicateSpace> Deserialize(std::string_view text,
                                             const KnowledgeGraph* graph);
 
-  /// The underlying SoA block (unit-normalized rows) and names, for
-  /// snapshot encoding and batched scoring.
+  /// The underlying block (unit-normalized rows), and the names the kgpack
+  /// writer stores beside each row.
   const VectorStore& store() const { return store_; }
   const std::vector<std::string>& names() const { return names_; }
 
  private:
   PredicateSpace() = default;
 
-  /// Computes norms_/max_norm_ from store_; every construction path ends
-  /// here.
-  void InitDerived();
-
   VectorStore store_;  // unit-normalized rows
   std::vector<std::string> names_;
-  std::vector<float> norms_;  // per-row L2 norms for the float kernels
-  double max_norm_ = 0.0;
 };
 
 }  // namespace kgsearch

@@ -1,127 +1,15 @@
-// Portable vectorized batch distance kernels.
-//
-// Every kernel scores ONE query against a block of N rows laid out as a
-// VectorStore flat buffer (base + i * stride, stride a multiple of
-// kAccumLanes, zero-padded), writing one float per row. A block (N-vs-N)
-// form layers on top by looping queries.
-//
-// ## Dispatch policy
-//
-// Backend selection is COMPILE-TIME: simd_kernels.cc picks AVX2 when built
-// with -mavx2 (__AVX2__), NEON on AArch64 (__ARM_NEON), and the portable
-// scalar implementation otherwise or when the build sets
-// KGSEARCH_DISABLE_SIMD (CMake option of the same name). There is no CPUID
-// probing — a binary built for AVX2 requires an AVX2 host. KernelBackend()
-// reports which path this binary runs.
-//
-// ## Bit-identity contract
-//
-// The dispatched kernels and the *Ref scalar references return BIT-IDENTICAL
-// floats on every backend, for every input (denormals included). This holds
-// by construction, not by tolerance:
-//   - all paths accumulate into the same kAccumLanes (= 8) virtual float
-//     lanes: lane l sums elements l, l+8, l+16, ... in index order;
-//   - multiplies and adds round separately (the kernels never use FMA, and
-//     simd_kernels.cc is compiled with -ffp-contract=off so the compiler
-//     cannot fuse them either);
-//   - every path finishes with the one shared ReduceLanes tree.
-// The differential test suite (tests/embedding/simd_kernels_test.cc)
-// asserts exact equality on random and adversarial inputs.
-//
-// Because the kernels accumulate in float while the exact serving scores
-// accumulate in double (vector_math.h), kernel outputs are used ONLY to
-// SELECT candidates; callers that promise bit-identical answers re-rank the
-// survivors with the exact scalar scorer (see PredicateSpace::TopSimilar).
-//
-// ## Adding a kernel
-//
-// 1. Write the scalar reference here-style: per-row loop over stride in
-//    steps of kAccumLanes into a float lanes[kAccumLanes] accumulator,
-//    finish with ReduceLanes.
-// 2. Mirror it per backend in simd_kernels.cc with mul/add (never fused),
-//    reducing via a store to a temporary array + the same ReduceLanes.
-// 3. Add the pair to the differential suite; exact equality is the bar.
-//
-// Raw intrinsics (#include <immintrin.h> / <arm_neon.h>, _mm*, v*q_f32)
-// are confined to simd_kernels.cc — tools/check_invariants.py rule R5
-// fails the build lint if they leak anywhere else.
+// Compatibility name: the embedding module has no vector kernels. Every
+// similarity is the exact double-accumulated scalar dot in PredicateSpace
+// (embedding/predicate_space.h). perfbench/ still stamps KernelBackend()
+// into its records and changes only together with the benchmark.
 #ifndef KGSEARCH_EMBEDDING_SIMD_KERNELS_H_
 #define KGSEARCH_EMBEDDING_SIMD_KERNELS_H_
-
-#include <cstddef>
 
 namespace kgsearch {
 namespace simd {
 
-/// Virtual accumulator width shared by every backend (floats).
-inline constexpr size_t kAccumLanes = 8;
-
-/// "avx2", "neon", or "scalar" — the compile-time-selected backend.
-const char* KernelBackend();
-
-/// The shared horizontal reduction: a fixed summation tree over the 8
-/// virtual lanes. Every kernel (vector or scalar) ends with this exact
-/// order, which is what makes cross-backend results bit-identical.
-inline float ReduceLanes(const float* l) {
-  return ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
-}
-
-// ---- dispatched kernels (fast path) ----------------------------------------
-// Preconditions for all: stride % kAccumLanes == 0; q has stride floats
-// (zero-padded); base holds count rows of stride floats; out has count
-// slots. count == 0 is a no-op; stride == 0 writes all zeros.
-
-/// out[i] = <q, row_i>.
-void DotBatch(const float* q, const float* base, size_t count, size_t stride,
-              float* out);
-
-/// out[i] = ||q - row_i||^2.
-void L2SqBatch(const float* q, const float* base, size_t count, size_t stride,
-               float* out);
-
-/// out[i] = sum_j (q[j] - row_i[j] + scale[i] * w[j])^2 — the TransH
-/// hyperplane-projected distance, with scale[i] the per-row projection
-/// coefficient (typically <w, row_i> from DotBatch).
-void L2SqShiftBatch(const float* q, const float* w, const float* scale,
-                    const float* base, size_t count, size_t stride,
-                    float* out);
-
-/// out[i] = <q, row_i> / (q_norm * row_norms[i]), or 0 when either norm is
-/// <= 0. The divide epilogue is shared scalar code, so bit-identity again
-/// reduces to DotBatch's.
-void CosineBatch(const float* q, float q_norm, const float* base,
-                 const float* row_norms, size_t count, size_t stride,
-                 float* out);
-
-/// N-vs-N block form: out[i * b_count + j] = <a_row_i, b_row_j>. Both
-/// blocks share one stride. Implemented as a_count batched 1-vs-N scans.
-void DotBlock(const float* a_base, size_t a_count, const float* b_base,
-              size_t b_count, size_t stride, float* out);
-
-// ---- scalar references (always compiled) -----------------------------------
-// Ground truth for the differential suite, and the dispatch target when no
-// SIMD backend is available. Same signatures, bit-identical results.
-
-void DotBatchRef(const float* q, const float* base, size_t count,
-                 size_t stride, float* out);
-void L2SqBatchRef(const float* q, const float* base, size_t count,
-                  size_t stride, float* out);
-void L2SqShiftBatchRef(const float* q, const float* w, const float* scale,
-                       const float* base, size_t count, size_t stride,
-                       float* out);
-void CosineBatchRef(const float* q, float q_norm, const float* base,
-                    const float* row_norms, size_t count, size_t stride,
-                    float* out);
-void DotBlockRef(const float* a_base, size_t a_count, const float* b_base,
-                 size_t b_count, size_t stride, float* out);
-
-/// Upper bound on |kernel float dot − exact double dot| for vectors with
-/// L2 norms na, nb and logical dimension dim, with an 8x safety factor.
-/// Derivation: per-product rounding plus (dim/kAccumLanes + tree depth)
-/// accumulation steps, each bounded by u * sum|a_i b_i| <= u * na * nb
-/// with u = 2^-24. Callers add margins in units of this bound to make
-/// float-selected candidate sets provably superset the exact top-k.
-double DotErrorBound(size_t dim, double na, double nb);
+/// Always "scalar".
+inline const char* KernelBackend() { return "scalar"; }
 
 }  // namespace simd
 }  // namespace kgsearch

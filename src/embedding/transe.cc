@@ -1,9 +1,5 @@
 #include "embedding/transe.h"
 
-#include <algorithm>
-#include <memory>
-
-#include "embedding/negative_sampling.h"
 #include "util/logging.h"
 
 namespace kgsearch {
@@ -73,15 +69,6 @@ Result<TransEEmbedding> TrainTransE(const KnowledgeGraph& graph,
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
 
   const size_t num_nodes = graph.NumNodes();
-  const size_t num_candidates = std::max<size_t>(1, config.negative_candidates);
-  std::unique_ptr<NegativeScorer> scorer;
-  std::vector<NodeId> cand_ids;
-  FloatVec query;
-  if (num_candidates > 1) {
-    scorer = std::make_unique<NegativeScorer>(config.dim, num_candidates);
-    cand_ids.reserve(num_candidates);
-    query.resize(config.dim);
-  }
   for (size_t epoch = 0; epoch < config.epochs; ++epoch) {
     rng.Shuffle(&order);
     double epoch_loss = 0.0;
@@ -92,58 +79,19 @@ Result<TransEEmbedding> TrainTransE(const KnowledgeGraph& graph,
       NormalizeInPlace(&emb.entity[pos.head]);
       NormalizeInPlace(&emb.entity[pos.tail]);
 
+      // Re-draw until the corrupted triple is not a stored fact; bounded
+      // retries keep degenerate graphs from looping forever.
       Triple neg = pos;
       bool corrupt_head =
           config.corrupt_head_and_tail ? rng.Bernoulli(0.5) : false;
-      if (num_candidates == 1) {
-        // Historical single-draw path: re-draw until the corrupted triple
-        // is not a stored fact; bounded retries keep degenerate graphs
-        // from looping forever.
-        for (int attempt = 0; attempt < 8; ++attempt) {
-          NodeId candidate = static_cast<NodeId>(rng.UniformIndex(num_nodes));
-          if (corrupt_head) {
-            neg.head = candidate;
-          } else {
-            neg.tail = candidate;
-          }
-          if (!graph.HasTriple(neg.head, neg.predicate, neg.tail)) break;
-        }
-      } else {
-        // Hardest-negative selection: score the whole candidate pool in
-        // one batched kernel pass against the fixed query side. The float
-        // scores only pick the candidate; the SGD step below stays exact.
-        cand_ids.clear();
-        for (size_t c = 0; c < num_candidates; ++c) {
-          cand_ids.push_back(static_cast<NodeId>(rng.UniformIndex(num_nodes)));
-        }
-        scorer->GatherNormalized(emb.entity, cand_ids);
-        const FloatVec& h = emb.entity[pos.head];
-        const FloatVec& t = emb.entity[pos.tail];
-        const FloatVec& r = emb.predicate[pos.predicate];
-        // ||h' + r - t||^2 = ||h' - (t - r)||^2, so both corruption sides
-        // reduce to an L2 scan against one query vector.
-        for (size_t i = 0; i < config.dim; ++i) {
-          query[i] = corrupt_head ? t[i] - r[i] : h[i] + r[i];
-        }
-        const float* scores = scorer->ScoreL2Sq(query);
-        size_t best = num_candidates - 1;  // all-facts fallback: last draw,
-                                           // like the exhausted-retry path
-        bool found = false;
-        for (size_t c = 0; c < num_candidates; ++c) {
-          const NodeId cand = cand_ids[c];
-          const NodeId cand_head = corrupt_head ? cand : pos.head;
-          const NodeId cand_tail = corrupt_head ? pos.tail : cand;
-          if (graph.HasTriple(cand_head, pos.predicate, cand_tail)) continue;
-          if (!found || scores[c] < scores[best]) {
-            best = c;
-            found = true;
-          }
-        }
+      for (int attempt = 0; attempt < 8; ++attempt) {
+        NodeId candidate = static_cast<NodeId>(rng.UniformIndex(num_nodes));
         if (corrupt_head) {
-          neg.head = cand_ids[best];
+          neg.head = candidate;
         } else {
-          neg.tail = cand_ids[best];
+          neg.tail = candidate;
         }
+        if (!graph.HasTriple(neg.head, neg.predicate, neg.tail)) break;
       }
       NormalizeInPlace(&emb.entity[neg.head]);
       NormalizeInPlace(&emb.entity[neg.tail]);

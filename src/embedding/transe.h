@@ -3,7 +3,9 @@
 // Implements the margin-ranking objective with uniform negative sampling:
 //   L = sum_{(h,r,t)} sum_{(h',r,t')} [margin + d(h+r, t) - d(h'+r, t')]_+
 // optimized by SGD, with entity vectors re-normalized to the unit ball each
-// step. The paper (Section IV-A) uses the learned relation vectors as the
+// step. Each positive triple draws one corruption (head or tail replaced by
+// a uniform entity), re-drawn at most 8 times while it is a stored fact.
+// The paper (Section IV-A) uses the learned relation vectors as the
 // predicate semantic space E.
 #ifndef KGSEARCH_EMBEDDING_TRANSE_H_
 #define KGSEARCH_EMBEDDING_TRANSE_H_
@@ -26,12 +28,6 @@ struct TransEConfig {
   uint64_t seed = 42;
   /// Corrupt head or tail with equal probability ("unif" strategy).
   bool corrupt_head_and_tail = true;
-  /// Corruption candidates drawn per positive triple. 1 (the default)
-  /// reproduces the historical single-draw behavior exactly. C > 1 draws C
-  /// uniform candidates, scores them in one batched kernel pass
-  /// (embedding/negative_sampling.h), and keeps the hardest — the
-  /// lowest-scoring candidate that is not a stored fact.
-  size_t negative_candidates = 1;
 };
 
 /// Learned embedding: one vector per entity and per predicate.

@@ -1,10 +1,5 @@
 #include "embedding/transh.h"
 
-#include <algorithm>
-#include <memory>
-
-#include "embedding/negative_sampling.h"
-
 namespace kgsearch {
 
 namespace {
@@ -109,15 +104,6 @@ Result<TransHEmbedding> TrainTransH(const KnowledgeGraph& graph,
   std::vector<size_t> order(triples.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   const size_t num_nodes = graph.NumNodes();
-  const size_t num_candidates = std::max<size_t>(1, config.negative_candidates);
-  std::unique_ptr<NegativeScorer> scorer;
-  std::vector<NodeId> cand_ids;
-  FloatVec query;
-  if (num_candidates > 1) {
-    scorer = std::make_unique<NegativeScorer>(config.dim, num_candidates);
-    cand_ids.reserve(num_candidates);
-    query.resize(config.dim);
-  }
 
   for (size_t epoch = 0; epoch < config.epochs; ++epoch) {
     rng.Shuffle(&order);
@@ -126,66 +112,17 @@ Result<TransHEmbedding> TrainTransH(const KnowledgeGraph& graph,
       const Triple& pos = triples[idx];
       NormalizeInPlace(&emb.entity[pos.head]);
       NormalizeInPlace(&emb.entity[pos.tail]);
+      // Uniform corruption, re-drawn (bounded) while it is a stored fact.
       Triple neg = pos;
       const bool corrupt_head = rng.Bernoulli(0.5);
-      if (num_candidates == 1) {
-        // Historical single-draw path.
-        for (int attempt = 0; attempt < 8; ++attempt) {
-          NodeId candidate = static_cast<NodeId>(rng.UniformIndex(num_nodes));
-          if (corrupt_head) {
-            neg.head = candidate;
-          } else {
-            neg.tail = candidate;
-          }
-          if (!graph.HasTriple(neg.head, neg.predicate, neg.tail)) break;
-        }
-      } else {
-        // Hardest-negative selection over a batched candidate pool. The
-        // projected distance with the candidate on the corrupted side
-        // factors as sum_j (q_j - cand_j + <w, cand> w_j)^2 with a fixed
-        // query q (the selection kernel's L2SqShiftBatch shape); float
-        // scores pick the candidate, the SGD step below stays exact.
-        cand_ids.clear();
-        for (size_t c = 0; c < num_candidates; ++c) {
-          cand_ids.push_back(static_cast<NodeId>(rng.UniformIndex(num_nodes)));
-        }
-        scorer->GatherNormalized(emb.entity, cand_ids);
-        const FloatVec& h = emb.entity[pos.head];
-        const FloatVec& t = emb.entity[pos.tail];
-        const FloatVec& d = emb.translation[pos.predicate];
-        const FloatVec& w = emb.normal[pos.predicate];
+      for (int attempt = 0; attempt < 8; ++attempt) {
+        NodeId candidate = static_cast<NodeId>(rng.UniformIndex(num_nodes));
         if (corrupt_head) {
-          // ||h'_perp + d - t_perp||^2 with q = t_perp - d (sign flips
-          // square away).
-          const double wt = Dot(w, t);
-          for (size_t i = 0; i < config.dim; ++i) {
-            query[i] = static_cast<float>((t[i] - wt * w[i]) - d[i]);
-          }
+          neg.head = candidate;
         } else {
-          // ||h_perp + d - t'_perp||^2 with q = h_perp + d.
-          const double wh = Dot(w, h);
-          for (size_t i = 0; i < config.dim; ++i) {
-            query[i] = static_cast<float>((h[i] - wh * w[i]) + d[i]);
-          }
+          neg.tail = candidate;
         }
-        const float* scores = scorer->ScoreProjectedL2Sq(query, w);
-        size_t best = num_candidates - 1;  // all-facts fallback: last draw
-        bool found = false;
-        for (size_t c = 0; c < num_candidates; ++c) {
-          const NodeId cand = cand_ids[c];
-          const NodeId cand_head = corrupt_head ? cand : pos.head;
-          const NodeId cand_tail = corrupt_head ? pos.tail : cand;
-          if (graph.HasTriple(cand_head, pos.predicate, cand_tail)) continue;
-          if (!found || scores[c] < scores[best]) {
-            best = c;
-            found = true;
-          }
-        }
-        if (corrupt_head) {
-          neg.head = cand_ids[best];
-        } else {
-          neg.tail = cand_ids[best];
-        }
+        if (!graph.HasTriple(neg.head, neg.predicate, neg.tail)) break;
       }
       NormalizeInPlace(&emb.entity[neg.head]);
       NormalizeInPlace(&emb.entity[neg.tail]);

@@ -4,7 +4,8 @@
 // Each relation r has a hyperplane normal w_r and a translation d_r; the
 // score of (h, r, t) is ||h_perp + d_r - t_perp||^2 with x_perp =
 // x - (w_r^T x) w_r. TransH separates relations that TransE conflates when
-// one entity participates in many-to-one relations.
+// one entity participates in many-to-one relations. Negatives are drawn as
+// in TransE (embedding/transe.h), always choosing head or tail at random.
 #ifndef KGSEARCH_EMBEDDING_TRANSH_H_
 #define KGSEARCH_EMBEDDING_TRANSH_H_
 
@@ -22,9 +23,6 @@ struct TransHConfig {
   /// Weight of the soft orthogonality constraint |w_r^T d_r| / ||d_r||.
   double orthogonality_weight = 0.25;
   uint64_t seed = 42;
-  /// Corruption candidates per positive; same semantics as
-  /// TransEConfig::negative_candidates (1 = historical behavior).
-  size_t negative_candidates = 1;
 };
 
 /// Learned TransH embedding. The predicate semantic space uses the

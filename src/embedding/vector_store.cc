@@ -1,6 +1,5 @@
 #include "embedding/vector_store.h"
 
-#include <cmath>
 #include <cstring>
 #include <new>
 
@@ -91,19 +90,6 @@ void VectorStore::SetRow(size_t i, const float* src, size_t n) {
 FloatVec VectorStore::RowVec(size_t i) const {
   const float* row = Row(i);
   return FloatVec(row, row + dim_);
-}
-
-std::vector<float> ComputeRowNormsL2(const VectorStore& store) {
-  std::vector<float> norms(store.size());
-  for (size_t i = 0; i < store.size(); ++i) {
-    const float* row = store.Row(i);
-    double s = 0.0;
-    for (size_t j = 0; j < store.dim(); ++j) {
-      s += static_cast<double>(row[j]) * row[j];
-    }
-    norms[i] = static_cast<float>(std::sqrt(s));
-  }
-  return norms;
 }
 
 }  // namespace kgsearch

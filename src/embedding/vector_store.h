@@ -1,21 +1,13 @@
-// Contiguous structure-of-arrays embedding storage.
+// Contiguous embedding storage.
 //
 // A VectorStore holds `size()` embedding rows of logical dimensionality
 // `dim()` in ONE aligned flat float buffer. Rows are padded with zeros to
-// `stride()` floats (a multiple of kStrideMultiple) so that
-//   - every row starts on a kAlignment-byte boundary, and
-//   - batched kernels (embedding/simd_kernels.h) can process whole rows in
-//     fixed-width lane groups without scalar tail loops.
+// `stride()` floats (a multiple of kStrideMultiple), so every row starts on
+// a kAlignment-byte boundary. SetRow re-zeroes the pad, keeping it zero
+// through mutation.
 //
-// The padding contract matters for correctness, not just speed: the
-// kernels run over the full stride, and a zero pad contributes exactly
-// 0.0f to dot products and squared distances, so padded results equal
-// logical-dim results bit-for-bit. SetRow re-zeroes the pad, keeping the
-// invariant through mutation.
-//
-// This is the storage the serving hot paths scan (predicate cosine
-// selection in PredicateSpace, TransE/TransH batched negative scoring);
-// the old representation — one heap-allocated std::vector<float> per row —
+// PredicateSpace keeps its vectors here, and the kgpack reader streams
+// rows straight into the buffer; the per-row std::vector<float> form
 // survives only at API boundaries (construction, serialization).
 #ifndef KGSEARCH_EMBEDDING_VECTOR_STORE_H_
 #define KGSEARCH_EMBEDDING_VECTOR_STORE_H_
@@ -34,7 +26,7 @@ class VectorStore {
   /// Byte alignment of the buffer and (via stride padding) of every row.
   static constexpr size_t kAlignment = 64;
   /// Rows are padded to a multiple of this many floats; 16 floats * 4 bytes
-  /// = one 64-byte cache line, and a multiple of every kernel lane width.
+  /// = one 64-byte cache line.
   static constexpr size_t kStrideMultiple = 16;
 
   /// Empty store (size 0, dim 0).
@@ -84,10 +76,6 @@ class VectorStore {
   size_t stride_ = 0;
   std::unique_ptr<float[], AlignedDeleter> data_;
 };
-
-/// L2 norm per row, accumulated in double then narrowed to float (the
-/// precision the selection-margin math in PredicateSpace budgets for).
-std::vector<float> ComputeRowNormsL2(const VectorStore& store);
 
 }  // namespace kgsearch
 

@@ -171,11 +171,11 @@ InsightProfile MakeInsightProfile(const ScaleKgSpec& spec);
 /// scales (10k / 100k / 1M) all come from here.
 ScaleKgSpec ScaleSpecFor(uint64_t num_nodes, uint64_t seed = 42);
 
-/// A deterministic SoA block of `count` unit vectors of dimension `dim`
-/// for kernel benchmarks and differential tests. Row i is a pure function
-/// of (seed, i) — the same per-id FastRng stream discipline the graph
-/// generator uses — so any (count, dim, seed) triple reproduces
-/// bit-identically across runs, and row i does not depend on count.
+/// A deterministic block of `count` unit vectors of dimension `dim` for
+/// differential tests. Row i is a pure function of (seed, i) — the same
+/// per-id FastRng stream discipline the graph generator uses — so any
+/// (count, dim, seed) triple reproduces bit-identically across runs, and
+/// row i does not depend on count.
 VectorStore GenerateEmbeddingBlock(size_t count, size_t dim, uint64_t seed);
 
 }  // namespace kgsearch

@@ -34,25 +34,26 @@ struct CachedCandidates {
 /// installs one instance into its engine, and per-request matchers pinned
 /// to a delta snapshot share it too.
 ///
+/// Only specific-node names are memoized: target nodes resolve through
+/// MatchTypes, whose result is a handful of type ids checked per node.
+///
 /// Keys are std::string (owned) but lookups are heterogeneous string_views,
-/// so the MatchByName/MatchByType hot path allocates no temporary string on
-/// a cache hit; only the Put after a miss materializes the key.
+/// so the MatchByName hot path allocates no temporary string on a cache
+/// hit; only the Put after a miss materializes the key.
 struct MatcherCandidateCache {
   using Cache =
       LruCache<std::string, CachedCandidates, StringViewHash, StringViewEq>;
 
-  explicit MatcherCandidateCache(size_t capacity)
-      : by_name(capacity), by_type(capacity) {}
+  explicit MatcherCandidateCache(size_t capacity) : by_name(capacity) {}
 
   Cache by_name;
-  Cache by_type;
   /// Lookups that found an entry from a different epoch (recomputed; the
   /// underlying LruCache counted them as hits, so true hits are
   /// hits() - stale_hits()).
   std::atomic<uint64_t> stale{0};
 
-  uint64_t hits() const { return by_name.hits() + by_type.hits(); }
-  uint64_t misses() const { return by_name.misses() + by_type.misses(); }
+  uint64_t hits() const { return by_name.hits(); }
+  uint64_t misses() const { return by_name.misses(); }
   uint64_t stale_hits() const {
     return stale.load(std::memory_order_relaxed);
   }
@@ -114,27 +115,6 @@ class NodeMatcher {
     for (const Resolution& r : library_->ResolveType(query_type)) {
       TypeId t = view_.FindType(r.canonical);
       if (t != kInvalidSymbol) out.push_back(t);
-    }
-    return out;
-  }
-
-  /// φ for a target node: all KG nodes whose type resolves from `query_type`.
-  std::vector<NodeId> MatchByType(std::string_view query_type) const {
-    if (cache_) {
-      CachedCandidates entry;
-      if (cache_->by_type.Get(query_type, &entry)) {
-        if (entry.epoch == view_.epoch()) return std::move(entry.ids);
-        cache_->stale.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    std::vector<NodeId> out;
-    for (TypeId t : MatchTypes(query_type)) {
-      auto members = view_.NodesOfType(t);
-      out.insert(out.end(), members.begin(), members.end());
-    }
-    if (cache_) {
-      cache_->by_type.Put(std::string(query_type),
-                          CachedCandidates{view_.epoch(), out});
     }
     return out;
   }

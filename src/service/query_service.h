@@ -62,7 +62,7 @@ struct QueryServiceOptions {
   ThreadPool* executor = nullptr;
   /// Entries in the decomposition plan cache; 0 disables it.
   size_t decomposition_cache_capacity = 512;
-  /// Entries per kind (name/type) in the shared matcher candidate cache;
+  /// Entries (specific-node names) in the shared matcher candidate cache;
   /// 0 disables it.
   size_t matcher_cache_capacity = 4096;
   /// Admission control (see service/admission.h): capacity for requests

@@ -305,6 +305,16 @@ TEST(KgSessionQueryTest, QueryJsonWireRoundTrip) {
   ASSERT_TRUE(nf.ok());
   EXPECT_EQ(nf.ValueOrDie().Find("error")->Find("code")->string_value(),
             "NotFound");
+
+  // A hop bound past the search's 16-bit counters is refused, not wrapped.
+  const std::string long_hops = session.QueryJson(
+      "{\"v\":1,\"dataset\":\"cars\",\"query_text\":\"?Car product GER\","
+      "\"options\":{\"n_hat\":70000}}");
+  auto lh = JsonValue::Parse(long_hops);
+  ASSERT_TRUE(lh.ok());
+  ASSERT_NE(lh.ValueOrDie().Find("error"), nullptr) << long_hops;
+  EXPECT_EQ(lh.ValueOrDie().Find("error")->Find("code")->string_value(),
+            "InvalidArgument");
 }
 
 /// Parks every worker of the session's shared pool until Release() is

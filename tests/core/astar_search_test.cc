@@ -63,6 +63,13 @@ TEST(AStarSearchTest, InputValidation) {
   bad = config;
   bad.anytime = true;  // without should_stop
   EXPECT_FALSE(AStarSearch(world.graph, *world.space, sub, bad).ok());
+  // Stage, hop and depth counters are 16-bit, so n̂ · L must fit in them.
+  bad = config;
+  bad.n_hat = 65535;
+  EXPECT_TRUE(AStarSearch(world.graph, *world.space, sub, bad).ok());
+  bad.n_hat = 65536;
+  EXPECT_EQ(AStarSearch(world.graph, *world.space, sub, bad).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(AStarSearchTest, RanksByPathSemanticSimilarity) {
@@ -326,6 +333,46 @@ TEST(AStarSearchTest, AnytimeMatchCapKeepsBest) {
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result.ValueOrDie().size(), 1u);
   EXPECT_EQ(world.graph.NodeName(result.ValueOrDie()[0].target()), "BMW_320");
+}
+
+TEST(AStarSearchTest, ExactStateKeysDoNotAliasPastHop255) {
+  // A 258-node p-chain c0 .. c257 whose only Y node is c256, plus
+  // c257 -q-> T. Every route to T enters stage 1 at c256, and each stage-1
+  // state (c, 1, h) has a stage-0 twin (c, 0, 256 + h) that pops first. The
+  // dedup key must tell the two apart, or every route to T is pruned.
+  KnowledgeGraph g;
+  std::vector<NodeId> chain;
+  for (int i = 0; i < 258; ++i) {
+    chain.push_back(g.AddNode(StrFormat("c%d", i), i == 256 ? "Y" : "X"));
+  }
+  for (size_t i = 0; i + 1 < chain.size(); ++i) {
+    g.AddEdge(chain[i], "p", chain[i + 1]);
+  }
+  NodeId t = g.AddNode("T", "Z");
+  g.AddEdge(chain.back(), "q", t);
+  g.Finalize();
+  auto space = MakeSpaceWithCosines(g, {{"p", 0.9}});
+
+  ResolvedSubQuery sub;
+  sub.edge_predicates = {g.FindPredicate("p"), g.FindPredicate("q")};
+  NodeConstraint start_c;
+  start_c.specific = true;
+  start_c.nodes = {chain.front()};
+  NodeConstraint mid_c;
+  mid_c.types = {g.FindType("Y")};
+  NodeConstraint target_c;
+  target_c.types = {g.FindType("Z")};
+  sub.node_constraints = {start_c, mid_c, target_c};
+  sub.start_candidates = {chain.front()};
+
+  AStarConfig config;
+  config.dedup = DedupMode::kExactState;
+  config.n_hat = 300;
+  config.tau = 0.8;
+  auto result = AStarSearch(g, *space, sub, config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result.ValueOrDie().size(), 1u);
+  EXPECT_EQ(result.ValueOrDie()[0].target(), t);
 }
 
 /// Random-graph property sweep: the exact-state mode must agree with the

@@ -88,5 +88,35 @@ TEST_F(SemanticWeightsTest, SuffixMaximaOverRemainingStages) {
   EXPECT_NEAR(weights.MaxAdjacentWeight(anchor_, 1), w_ss, 1e-9);
 }
 
+TEST_F(SemanticWeightsTest, MemoKeysDoNotAliasAcrossStages) {
+  // m(u) is memoized per (node, stage): on a 257-stage sub-query, node a at
+  // stage 256 and node a + 1 at stage 0 are different entries.
+  KnowledgeGraph g;
+  NodeId a = g.AddNode("a", "Anchor");
+  NodeId b = g.AddNode("b", "Anchor");
+  NodeId c = g.AddNode("c", "Mid");
+  ASSERT_EQ(b, a + 1);
+  g.AddEdge(a, "strong", c);
+  g.AddEdge(b, "weak", c);
+  g.InternPredicate("q");
+  g.Finalize();
+  auto space = MakeSpaceWithCosines(g, {{"strong", 0.9}, {"weak", 0.4}});
+  ResolvedSubQuery sub;
+  sub.edge_predicates.assign(257, g.FindPredicate("q"));
+  NodeConstraint start_c;
+  start_c.specific = true;
+  start_c.nodes = {a};
+  NodeConstraint any_c;
+  any_c.types = {g.FindType("Mid")};
+  sub.node_constraints.assign(258, any_c);
+  sub.node_constraints.front() = start_c;
+  sub.start_candidates = {a};
+
+  SemanticWeights weights(g, space.get(), &sub);
+  EXPECT_NEAR(weights.MaxAdjacentWeight(b, 0), 0.4, 1e-6);
+  EXPECT_NEAR(weights.MaxAdjacentWeight(a, 256), 0.9, 1e-6);
+  EXPECT_EQ(weights.materialized_nodes(), 2u);
+}
+
 }  // namespace
 }  // namespace kgsearch

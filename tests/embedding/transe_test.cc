@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "embedding/predicate_space.h"
+#include "testing/car_fixture.h"
+#include "util/binary_io.h"
 #include "util/string_util.h"
 
 namespace kgsearch {
@@ -106,6 +108,27 @@ TEST(TransETest, CooccurringPredicatesEmbedCloser) {
   EXPECT_GT(close, far) << "made_in/assembled_in should embed closer than "
                         << "made_in/speaks (close=" << close
                         << ", far=" << far << ")";
+}
+
+/// Pins what training produces, so a rewrite of the training loop must
+/// reproduce the same loss and the same vector bytes. Recorded with the
+/// single-draw negative sampler on the car fixture's graph.
+TEST(TransETest, SingleDrawTrainingMatchesGolden) {
+  testing_fixture::CarParts parts = testing_fixture::MakeCarParts();
+  TransEConfig config;
+  config.dim = 16;
+  config.epochs = 5;
+  auto result = TrainTransE(*parts.graph, config);
+  ASSERT_TRUE(result.ok());
+  const TransEEmbedding& emb = result.ValueOrDie();
+  uint32_t crc = 0;
+  for (const auto* vectors : {&emb.entity, &emb.predicate}) {
+    for (const FloatVec& v : *vectors) {
+      crc = Crc32Update(crc, v.data(), v.size() * sizeof(float));
+    }
+  }
+  EXPECT_EQ(emb.final_epoch_loss, 0x1.42c76f56b7f85p+1);
+  EXPECT_EQ(crc, 0x06d0e13au);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "testing/car_fixture.h"
+#include "util/binary_io.h"
 #include "util/string_util.h"
 
 namespace kgsearch {
@@ -114,6 +116,27 @@ TEST(TransHTest, TranslationNearHyperplane) {
         std::abs(Dot(emb.normal[p], emb.translation[p])) / d_norm;
     EXPECT_LT(along, 0.35) << g.PredicateName(p);
   }
+}
+
+/// Pins what training produces, so a rewrite of the training loop must
+/// reproduce the same loss and the same vector bytes. Recorded with the
+/// single-draw negative sampler on the car fixture's graph.
+TEST(TransHTest, SingleDrawTrainingMatchesGolden) {
+  testing_fixture::CarParts parts = testing_fixture::MakeCarParts();
+  TransHConfig config;
+  config.dim = 16;
+  config.epochs = 5;
+  auto result = TrainTransH(*parts.graph, config);
+  ASSERT_TRUE(result.ok());
+  const TransHEmbedding& emb = result.ValueOrDie();
+  uint32_t crc = 0;
+  for (const auto* vectors : {&emb.entity, &emb.translation, &emb.normal}) {
+    for (const FloatVec& v : *vectors) {
+      crc = Crc32Update(crc, v.data(), v.size() * sizeof(float));
+    }
+  }
+  EXPECT_EQ(emb.final_epoch_loss, 0x1.2179144485936p+0);
+  EXPECT_EQ(crc, 0x932cdb0au);
 }
 
 }  // namespace

@@ -99,18 +99,5 @@ TEST(VectorStoreTest, CopyAndMoveSemantics) {
   EXPECT_EQ(d.Row(0)[0], 99.0f);
 }
 
-TEST(VectorStoreTest, ComputeRowNormsMatchesScalarNorm) {
-  FastRng rng(MixSeed(11, 1));
-  std::vector<FloatVec> rows;
-  for (int i = 0; i < 6; ++i) rows.push_back(RandomInitVec(10, &rng));
-  rows.push_back(FloatVec(10, 0.0f));  // zero row -> norm 0
-  VectorStore store = VectorStore::FromVectors(rows);
-  std::vector<float> norms = ComputeRowNormsL2(store);
-  ASSERT_EQ(norms.size(), rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(norms[i], static_cast<float>(Norm(rows[i]))) << "row " << i;
-  }
-}
-
 }  // namespace
 }  // namespace kgsearch

@@ -46,14 +46,7 @@ TEST_F(NodeMatcherTest, MatchTypesViaSynonym) {
   auto types = matcher.MatchTypes("Car");
   ASSERT_EQ(types.size(), 1u);
   EXPECT_EQ(graph_.TypeName(types[0]), "Automobile");
-}
-
-TEST_F(NodeMatcherTest, MatchByTypeReturnsAllMembers) {
-  NodeMatcher matcher(&graph_, &library_);
-  auto m = matcher.MatchByType("Car");
-  EXPECT_EQ(m.size(), 2u);
-  EXPECT_EQ(matcher.MatchByType("Automobile").size(), 2u);
-  EXPECT_TRUE(matcher.MatchByType("Planet").empty());
+  EXPECT_TRUE(matcher.MatchTypes("Planet").empty());
 }
 
 }  // namespace

@@ -32,11 +32,10 @@ under gcc, where the Clang thread-safety attributes are no-ops):
   R5  simd-confinement   No vendor intrinsics (<immintrin.h>/<arm_neon.h>
                          includes, _mm*/__m128/__m256/__m512, NEON v*q_f32
                          calls or float32x4_t) outside
-                         src/embedding/simd_kernels.{h,cc}. Everything else
-                         calls the dispatched batch kernels, so the scalar
-                         fallback, the differential tests, and the
-                         KGSEARCH_DISABLE_SIMD build stay authoritative for
-                         every consumer.
+                         src/embedding/simd_kernels.{h,cc}, which holds
+                         none: every similarity is the exact scalar dot in
+                         PredicateSpace, so in effect the rule forbids
+                         intrinsics everywhere.
 
   R6  delta-confinement  Mutable DeltaSnapshot handles — non-const
                          references/pointers, non-const smart-pointer
