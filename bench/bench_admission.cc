@@ -1,28 +1,30 @@
 // Tail latency under overload, with and without admission control.
 //
-// 4x more closed-loop clients than the service has capacity hammer one
-// QueryService. Without admission every request is accepted and waits at
-// the back of an ever-deeper queue — client-observed p95 grows with the
-// backlog. With a bounded admission gate the overflow is rejected in
-// microseconds (kResourceExhausted) and the accepted requests' p95 stays
-// near the uncontended service time. A third configuration adds a hard
-// per-request deadline on top.
+// 4x more closed-loop clients than the dataset has capacity hammer one
+// KgSession through Submit, the path every wire request takes. Without
+// admission every request is accepted and waits at the back of an
+// ever-deeper queue — client-observed p95 grows with the backlog. With a
+// bounded admission gate the overflow is rejected in microseconds
+// (kResourceExhausted) and the accepted requests' p95 stays near the
+// uncontended service time. A third configuration adds a hard per-request
+// deadline on top.
 //
 // Correctness gate (the BENCH_admission record is only written when it
-// holds): every accepted answer is bit-identical to serial SgqEngine
-// execution, and every non-OK outcome is exactly kResourceExhausted or —
-// only for requests that carried a deadline — kDeadlineExceeded.
+// holds, and the exit code is 1 otherwise): every accepted answer is
+// bit-identical to serial SgqEngine execution, every non-OK outcome is
+// exactly kResourceExhausted or — only for requests that carried a
+// deadline — kDeadlineExceeded, the dataset's counters reconcile with the
+// client tallies, and the admission config sheds load at 4x overload.
 #include <algorithm>
 #include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "api/session.h"
 #include "bench_util.h"
 #include "eval/harness.h"
 #include "gen/synthetic_kg.h"
-#include "service/query_service.h"
-#include "util/cancel.h"
 
 namespace kgsearch {
 namespace {
@@ -49,20 +51,33 @@ struct RunResult {
   bool gate_ok = true;
 };
 
-RunResult RunConfig(const GeneratedDataset& ds,
-                    const std::vector<QueryWithGold>& workload,
+/// The benchmark dataset; deterministic, so every call builds the same one.
+Result<std::unique_ptr<GeneratedDataset>> MakeBenchDataset() {
+  return GenerateDataset(DbpediaLikeSpec(0.5, 42));
+}
+
+RunResult RunConfig(const std::vector<QueryWithGold>& workload,
                     const std::vector<std::vector<NodeId>>& reference,
                     const Config& config, size_t pool_threads,
                     size_t clients, size_t rounds) {
-  QueryServiceOptions soptions;
+  RunResult result;
+  result.name = config.name;
+  result.clients = clients;
+  KgSessionOptions soptions;
   soptions.num_threads = pool_threads;
   soptions.max_in_flight = config.max_in_flight;
   soptions.max_queued = config.max_queued;
-  QueryService service(ds.graph.get(), ds.space.get(), &ds.library,
-                       soptions);
-
-  EngineOptions options;
-  options.k = 20;
+  KgSession session(soptions);
+  auto generated = MakeBenchDataset();
+  if (!generated.ok() ||
+      !session
+           .RegisterDataset("bench", std::move(generated.ValueOrDie()->graph),
+                            std::move(generated.ValueOrDie()->space),
+                            std::move(generated.ValueOrDie()->library))
+           .ok()) {
+    result.gate_ok = false;
+    return result;
+  }
 
   struct ClientTally {
     std::vector<double> accepted_ms;
@@ -81,18 +96,22 @@ RunResult RunConfig(const GeneratedDataset& ds,
       for (size_t round = 0; round < rounds; ++round) {
         for (size_t i = 0; i < workload.size(); ++i) {
           const size_t w = (i + c) % workload.size();
-          EngineOptions request_options = options;
-          if (config.deadline_ms > 0) {
-            request_options.deadline_micros = DeadlineFromNowMs(
-                config.deadline_ms, SystemClock::Default());
-          }
+          QueryRequest request;
+          request.dataset = "bench";
+          request.query_graph = workload[w].query;
+          request.options.k = 20;
+          request.deadline_ms = config.deadline_ms;
           StopWatch latency;
-          auto future = service.Submit(workload[w].query, request_options);
+          auto future = session.Submit(std::move(request));
           auto r = future.get();
           const double ms = latency.ElapsedMillis();
           if (r.ok()) {
             tally.accepted_ms.push_back(ms);
-            if (r.ValueOrDie().AnswerIds() != reference[w]) ++tally.bad;
+            std::vector<NodeId> ids;
+            for (const AnswerDto& a : r.ValueOrDie().answers) {
+              ids.push_back(a.id);
+            }
+            if (ids != reference[w]) ++tally.bad;
           } else if (r.status().code() == StatusCode::kResourceExhausted) {
             tally.rejected_ms.push_back(ms);
             ++tally.rejected;
@@ -108,9 +127,6 @@ RunResult RunConfig(const GeneratedDataset& ds,
   }
   for (auto& t : threads) t.join();
 
-  RunResult result;
-  result.name = config.name;
-  result.clients = clients;
   result.wall_seconds = static_cast<double>(wall.ElapsedMicros()) / 1e6;
   std::vector<double> accepted_ms, rejected_ms;
   for (const ClientTally& tally : tallies) {
@@ -135,8 +151,8 @@ RunResult RunConfig(const GeneratedDataset& ds,
       result.requests) {
     result.gate_ok = false;  // a request resolved outside the trichotomy
   }
-  // Cross-check the service's own books against the client-side tally.
-  const ServiceStatsSnapshot stats = service.Stats();
+  // Cross-check the dataset's own books against the client-side tally.
+  const ServiceStatsSnapshot stats = session.Stats("bench").ValueOrDie();
   if (stats.queries_rejected != result.rejected ||
       stats.queries_deadline_exceeded != result.deadline_exceeded ||
       stats.admitted_outstanding != 0) {
@@ -146,7 +162,7 @@ RunResult RunConfig(const GeneratedDataset& ds,
 }
 
 int Run() {
-  auto generated = GenerateDataset(DbpediaLikeSpec(0.5, 42));
+  auto generated = MakeBenchDataset();
   if (!generated.ok()) {
     std::fprintf(stderr, "dataset: %s\n",
                  generated.status().ToString().c_str());
@@ -187,8 +203,8 @@ int Run() {
 
   std::vector<RunResult> results;
   for (const Config& config : configs) {
-    RunResult r = RunConfig(ds, workload, reference, config, pool_threads,
-                            clients, rounds);
+    RunResult r =
+        RunConfig(workload, reference, config, pool_threads, clients, rounds);
     std::fprintf(stderr,
                  "%-24s requests=%4zu accepted=%4zu rejected=%4zu "
                  "ddl=%3zu p95=%8.2fms gate=%s\n",
@@ -219,9 +235,10 @@ int Run() {
   std::printf("  \"capacity\": {\"max_in_flight\": 2, \"max_queued\": 2},\n");
   std::printf("  \"overload\": \"%zu closed-loop clients = 4x capacity\",\n",
               clients);
+  std::printf("  \"path\": \"KgSession::Submit\",\n");
   std::printf("  \"correctness_gate\": \"accepted answers bit-identical to "
               "serial SgqEngine; every non-OK outcome is ResourceExhausted "
-              "or (with deadlines) DeadlineExceeded; service counters match "
+              "or (with deadlines) DeadlineExceeded; dataset counters match "
               "client tallies\",\n");
   std::printf("  \"configs\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {

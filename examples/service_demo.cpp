@@ -212,7 +212,7 @@ int main(int argc, char** argv) {
   std::printf("matcher cache       %.0f%% hit rate (%llu hits)\n",
               100.0 * stats.matcher_cache_hit_rate(),
               static_cast<unsigned long long>(stats.matcher_cache_hits));
-  std::printf("session queue      %zu, in flight %zu\n",
-              session.queue_depth(), stats.in_flight);
+  std::printf("queue depth        %zu, in flight %zu\n", stats.queue_depth,
+              stats.in_flight);
   return total_mismatches == 0 && total_errors == 0 ? 0 : 1;
 }

@@ -378,15 +378,15 @@ std::future<Result<QueryResponse>> KgSession::Submit(
       DeadlineFromNowMs(request.deadline_ms, clock_);
 
   // Admission is ALSO decided now, against the dataset's service (async
-  // limits), so the session-level queue only ever holds admitted work and
-  // overload answers in microseconds. The slot is held across the queue
-  // wait and released by the task (or the shutdown path). An unknown
-  // dataset skips the gate — Execute resolves it to kNotFound, and if the
-  // name is registered between submission and execution the service's
-  // synchronous gate still applies. The drain lease taken here rides into
-  // the task (shared_ptr: SubmitTracked's std::function needs a copyable
-  // closure) so the resolved Dataset — and the gate inside it — survives
-  // any replacement until the task finishes.
+  // limits), so the pool queue only ever holds admitted work and overload
+  // answers in microseconds. The slot is held across the queue wait, which
+  // is what the dataset's queue_depth counts, and released by the task (or
+  // the shutdown path). An unknown dataset skips the gate — Execute
+  // resolves it to kNotFound, and if the name is registered between
+  // submission and execution the service's synchronous gate still applies.
+  // The drain lease taken here rides into the task (shared_ptr: the pool's
+  // std::function needs a copyable closure) so the resolved Dataset — and
+  // the gate inside it — survives any replacement until the task finishes.
   auto lease =
       std::make_shared<DatasetLease>(AcquireDataset(request.dataset));
   Dataset* dataset = lease->get();
@@ -400,19 +400,36 @@ std::future<Result<QueryResponse>> KgSession::Submit(
       return rejected.get_future();
     }
   }
-  return SubmitTracked<Result<QueryResponse>>(
-      pool_.get(), &outstanding_, &queued_,
-      [this, request = std::move(request), deadline_micros, cancel, lease,
-       dataset, gate]() {
-        AdmissionSlot slot(gate);  // released even if execution throws
-        return Execute(request, deadline_micros, cancel, dataset,
-                       /*pre_admitted=*/gate != nullptr);
-      },
-      Result<QueryResponse>(Status::Internal("session is shutting down")),
-      /*on_reject=*/[lease, gate] {
-        if (gate != nullptr) gate->Release();
+  auto promise = std::make_shared<std::promise<Result<QueryResponse>>>();
+  std::future<Result<QueryResponse>> future = promise->get_future();
+  // outstanding_.Done() is the task's very last action: the slot and the
+  // lease go back first, so the destructor (which waits on outstanding_)
+  // can never race a release into a torn-down dataset. A throwing Execute
+  // reaches the client through the future.
+  outstanding_.Add(1);
+  const bool accepted = pool_->TrySubmit(
+      [this, promise, request = std::move(request), deadline_micros, cancel,
+       lease, dataset, gate] {
+        try {
+          promise->set_value([&] {
+            // Returned before the future resolves, even if Execute throws.
+            AdmissionSlot slot(gate);
+            return Execute(request, deadline_micros, cancel, dataset,
+                           /*pre_admitted=*/gate != nullptr);
+          }());
+        } catch (...) {
+          promise->set_exception(std::current_exception());
+        }
         lease->Release();
+        outstanding_.Done();
       });
+  if (!accepted) {
+    if (gate != nullptr) gate->Release();
+    lease->Release();
+    outstanding_.Done();
+    promise->set_value(Status::Internal("session is shutting down"));
+  }
+  return future;
 }
 
 std::vector<Result<QueryResponse>> KgSession::QueryBatch(

@@ -39,7 +39,6 @@
 #ifndef KGSEARCH_API_SESSION_H_
 #define KGSEARCH_API_SESSION_H_
 
-#include <atomic>
 #include <future>
 #include <map>
 #include <memory>
@@ -200,15 +199,17 @@ class KgSession {
   Result<QueryResponse> Query(const QueryRequest& request,
                               const CancelToken* cancel = nullptr);
 
-  /// Asynchronous execution on the shared pool. The deadline budget is
-  /// stamped at submission, so time spent queued counts against it; a
-  /// request that waits out its whole budget resolves to
-  /// kDeadlineExceeded without running the engines. Admission against the
-  /// dataset's service is ALSO decided at submission (async limits:
-  /// max_in_flight + max_queued), so overload resolves the future with
-  /// kResourceExhausted immediately instead of after a queue wait — the
-  /// session-level queue holds only admitted work. `cancel` must outlive
-  /// the future's resolution.
+  /// Asynchronous execution on the shared pool: the library's one
+  /// asynchronous query path (the TCP server sends every wire request
+  /// through it). The deadline budget is stamped at submission, so time
+  /// spent queued counts against it; a request that waits out its whole
+  /// budget resolves to kDeadlineExceeded without running the engines.
+  /// Admission against the dataset's service is ALSO decided at submission
+  /// (async limits: max_in_flight + max_queued), so overload resolves the
+  /// future with kResourceExhausted immediately instead of after a queue
+  /// wait — the pool queue holds only admitted work, and the dataset's
+  /// Stats().queue_depth counts it. `cancel` must outlive the future's
+  /// resolution.
   std::future<Result<QueryResponse>> Submit(QueryRequest request,
                                             const CancelToken* cancel =
                                                 nullptr);
@@ -237,17 +238,11 @@ class KgSession {
 
   // ----- introspection (parity tests, demos, stats) -----
 
-  /// Per-dataset serving counters; kNotFound for unknown names. Note that
-  /// `queue_depth` there covers only QueryService-level submissions;
-  /// facade async requests (Submit/QueryBatch) queue session-wide — read
-  /// KgSession::queue_depth() for that load signal.
+  /// Per-dataset serving counters; kNotFound for unknown names. Its
+  /// `queue_depth` counts this dataset's Submit/QueryBatch requests that
+  /// were admitted but have not started executing (a load signal, racy by
+  /// nature).
   Result<ServiceStatsSnapshot> Stats(const std::string& dataset) const;
-
-  /// Facade async requests submitted but not yet started (a load signal,
-  /// racy by nature).
-  size_t queue_depth() const {
-    return queued_.load(std::memory_order_relaxed);
-  }
 
   /// Borrowed pointers, valid until the named dataset is replaced or
   /// compacted (so: for the session's lifetime, if the caller never does
@@ -384,10 +379,9 @@ class KgSession {
   mutable Mutex mutex_;
   std::map<std::string, std::unique_ptr<Dataset>> datasets_
       GUARDED_BY(mutex_);
-  /// Facade async requests enqueued but not yet started.
-  std::atomic<size_t> queued_{0};
   /// Async requests not yet finished; drained by the destructor before any
-  /// dataset or the pool is torn down.
+  /// dataset or the pool is torn down. It is what keeps a dataset's service
+  /// alive while work submitted to it waits in the pool.
   WaitGroup outstanding_;
 };
 

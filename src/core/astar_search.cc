@@ -202,7 +202,6 @@ Result<std::vector<PathMatch>> AStarSearch(const GraphView& graph,
     QueueEntry entry = queue.top();
     queue.pop();
     ++st.popped;
-    if (config.expansion_hook) config.expansion_hook();
 
     // Cooperative interruption (deadline / cancellation): polled between
     // expansions at the same cadence as the anytime stop estimator. The

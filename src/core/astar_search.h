@@ -76,8 +76,6 @@ struct AStarConfig {
   std::function<bool(size_t matches_so_far)> should_stop;
   /// Pops between should_stop / interrupt polls (both modes for interrupt).
   size_t stop_check_interval = 64;
-  /// Test hook invoked once per pop (e.g. to advance a ManualClock).
-  std::function<void()> expansion_hook;
 };
 
 /// Counters describing one search run.

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace kgsearch {
 
@@ -113,11 +114,28 @@ void EnumeratePaths(const QueryGraph& query, int start, int pivot,
   dfs(start);
 }
 
+/// Outcome of the cover search for one pivot.
+enum class CoverOutcome {
+  kFound,
+  kNoCover,   ///< no edge-disjoint specific-to-pivot path cover exists
+  kOverflow,  ///< covers exist, but each one's Eq. 1 cost overflows a double
+};
+
+/// The refusal when covers exist but n̂ makes every cost +inf: the DP can
+/// rank none of them, and n̂ is what the caller can change.
+Status NHatOverflowStatus(size_t n_hat) {
+  return Status::InvalidArgument(StrFormat(
+      "n_hat %zu is too large: the Eq. 1 cost of every full cover "
+      "(max(avg degree, 2)^(n_hat * path length) per path) overflows a "
+      "double",
+      n_hat));
+}
+
 /// Finds the min-cost edge-disjoint path cover for one pivot via DP over the
 /// covered-edge bitmask (the "dynamic programming" of Section III-A).
-/// Returns false when no full cover exists.
-bool CoverForPivot(const QueryGraph& query, int pivot,
-                   const DecomposeOptions& options, Decomposition* out) {
+CoverOutcome CoverForPivot(const QueryGraph& query, int pivot,
+                           const DecomposeOptions& options,
+                           Decomposition* out) {
   const size_t num_edges = query.NumEdges();
   KG_CHECK(num_edges <= 20);  // queries are small by construction
   std::vector<CandidatePath> candidates;
@@ -125,7 +143,7 @@ bool CoverForPivot(const QueryGraph& query, int pivot,
     EnumeratePaths(query, s, pivot, options.avg_degree, options.n_hat,
                    &candidates);
   }
-  if (candidates.empty()) return false;
+  if (candidates.empty()) return CoverOutcome::kNoCover;
 
   const uint32_t full = (num_edges == 32) ? 0xffffffffu
                                           : ((1u << num_edges) - 1);
@@ -133,9 +151,13 @@ bool CoverForPivot(const QueryGraph& query, int pivot,
   std::vector<double> dp(full + 1, inf);
   std::vector<int> choice(full + 1, -1);   // candidate used to reach mask
   std::vector<uint32_t> parent(full + 1, 0);
+  // Masks some disjoint path set covers, at any cost: it tells a query with
+  // no cover from one whose every cover costs +inf.
+  std::vector<bool> reached(full + 1, false);
   dp[0] = 0.0;
+  reached[0] = true;
   for (uint32_t mask = 0; mask <= full; ++mask) {
-    if (dp[mask] == inf || mask == full) continue;
+    if (!reached[mask] || mask == full) continue;
     // Lowest uncovered edge must be covered by the next path; this canonical
     // ordering makes each cover enumerated exactly once.
     uint32_t lowest = 0;
@@ -145,6 +167,7 @@ bool CoverForPivot(const QueryGraph& query, int pivot,
       if (!(cand.edge_mask & (1u << lowest))) continue;
       if (cand.edge_mask & mask) continue;  // overlaps covered edges
       uint32_t next = mask | cand.edge_mask;
+      reached[next] = true;
       double cost = dp[mask] + cand.cost;
       if (cost < dp[next]) {
         dp[next] = cost;
@@ -153,7 +176,9 @@ bool CoverForPivot(const QueryGraph& query, int pivot,
       }
     }
   }
-  if (dp[full] == inf) return false;
+  if (dp[full] == inf) {
+    return reached[full] ? CoverOutcome::kOverflow : CoverOutcome::kNoCover;
+  }
 
   out->pivot = pivot;
   out->cost = dp[full];
@@ -165,7 +190,7 @@ bool CoverForPivot(const QueryGraph& query, int pivot,
     mask = parent[mask];
   }
   std::reverse(out->subqueries.begin(), out->subqueries.end());
-  return true;
+  return CoverOutcome::kFound;
 }
 
 }  // namespace
@@ -182,7 +207,11 @@ Result<Decomposition> DecomposeQueryForPivot(const QueryGraph& query,
     return Status::InvalidArgument("pivot must be a target node");
   }
   Decomposition d;
-  if (!CoverForPivot(query, pivot, options, &d)) {
+  const CoverOutcome outcome = CoverForPivot(query, pivot, options, &d);
+  if (outcome == CoverOutcome::kOverflow) {
+    return NHatOverflowStatus(options.n_hat);
+  }
+  if (outcome == CoverOutcome::kNoCover) {
     return Status::InvalidArgument(
         "pivot admits no full cover by specific-to-pivot paths");
   }
@@ -197,13 +226,15 @@ Result<Decomposition> DecomposeQuery(const QueryGraph& query,
   }
 
   std::vector<Decomposition> feasible;
+  bool overflowed = false;
   for (int pivot : query.TargetNodes()) {
     Decomposition d;
-    if (CoverForPivot(query, pivot, options, &d)) {
-      feasible.push_back(std::move(d));
-    }
+    const CoverOutcome outcome = CoverForPivot(query, pivot, options, &d);
+    if (outcome == CoverOutcome::kFound) feasible.push_back(std::move(d));
+    overflowed |= outcome == CoverOutcome::kOverflow;
   }
   if (feasible.empty()) {
+    if (overflowed) return NHatOverflowStatus(options.n_hat);
     return Status::InvalidArgument(
         "no pivot admits a full cover by specific-to-pivot paths");
   }

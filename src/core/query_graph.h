@@ -105,7 +105,10 @@ struct SubQueryGraph {
 struct Decomposition {
   int pivot = -1;
   std::vector<SubQueryGraph> subqueries;
-  double cost = 0.0;  ///< Eq. 1 objective value (log-scale search space)
+  /// Eq. 1 objective value: the estimated search space, summing
+  /// max(avg degree, 2)^(n̂ * path length) over the sub-queries (raw, not
+  /// log-scale).
+  double cost = 0.0;
 };
 
 /// Pivot-selection strategies (Section VII-C).
@@ -126,8 +129,9 @@ struct DecomposeOptions {
 };
 
 /// Decomposes `query` into sub-query path graphs intersecting at a pivot
-/// (Definition 6). Fails when the query is invalid or no full edge cover by
-/// specific→pivot paths exists for any pivot.
+/// (Definition 6). Fails when the query is invalid, when no full edge cover
+/// by specific→pivot paths exists for any pivot, or (naming n_hat) when
+/// covers exist but n̂ makes every one's Eq. 1 cost overflow a double.
 Result<Decomposition> DecomposeQuery(const QueryGraph& query,
                                      const DecomposeOptions& options);
 

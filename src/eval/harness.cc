@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <map>
 
 #include "baselines/exact_match.h"
@@ -58,41 +59,39 @@ MethodRun RunServiceOnWorkload(QueryService* service,
   if (workload.empty()) return run;
   if (concurrency == 0) concurrency = 1;
 
-  std::vector<double> ps, rs, f1s, times;
+  std::vector<double> ps(workload.size()), rs(workload.size()),
+      f1s(workload.size()), times(workload.size());
+  std::vector<char> failed(workload.size(), 0);  // one writer per slot
   for (size_t base = 0; base < workload.size(); base += concurrency) {
     const size_t end = std::min(workload.size(), base + concurrency);
-
-    // Submit the whole wave, then resolve in submission order; measured
-    // times are an upper bound per query (see header comment).
-    std::vector<std::future<Result<QueryResult>>> futures;
-    std::vector<StopWatch> watches;
+    // One wave: each task runs one synchronous query and times it alone.
+    std::vector<std::function<void()>> tasks;
     for (size_t i = base; i < end; ++i) {
-      const QueryWithGold& q = workload[i];
-      EngineOptions o = options;
-      o.k = (k == 0) ? q.gold.size() : k;
-      watches.emplace_back(clock);
-      futures.push_back(service->Submit(q.query, o));
+      tasks.push_back([&, i] {
+        const QueryWithGold& q = workload[i];
+        EngineOptions o = options;
+        o.k = (k == 0) ? q.gold.size() : k;
+        StopWatch watch(clock);
+        Result<QueryResult> r = service->Query(q.query, o);
+        times[i] = watch.ElapsedMillis();
+        if (!r.ok()) {
+          failed[i] = 1;  // zero precision/recall, as in the paper's "%"
+          return;
+        }
+        const QueryResult& result = r.ValueOrDie();
+        Prf prf = ComputePrf(ExtractAnswers(result.matches,
+                                            result.decomposition,
+                                            q.answer_node),
+                             q.gold);
+        ps[i] = prf.precision;
+        rs[i] = prf.recall;
+        f1s[i] = prf.f1;
+      });
     }
-    for (size_t i = base; i < end; ++i) {
-      const QueryWithGold& q = workload[i];
-      Result<QueryResult> r = futures[i - base].get();
-      times.push_back(watches[i - base].ElapsedMillis());
-      if (!r.ok()) {
-        ++run.queries_failed;
-        ps.push_back(0.0);
-        rs.push_back(0.0);
-        f1s.push_back(0.0);
-        continue;
-      }
-      const QueryResult& result = r.ValueOrDie();
-      Prf prf = ComputePrf(
-          ExtractAnswers(result.matches, result.decomposition, q.answer_node),
-          q.gold);
-      ps.push_back(prf.precision);
-      rs.push_back(prf.recall);
-      f1s.push_back(prf.f1);
-    }
+    RunOnPool(service->executor(), std::move(tasks));
   }
+  run.queries_failed = static_cast<size_t>(
+      std::count(failed.begin(), failed.end(), 1));
   run.precision = Mean(ps);
   run.recall = Mean(rs);
   run.f1 = Mean(f1s);

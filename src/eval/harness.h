@@ -37,14 +37,13 @@ MethodRun RunMethodOnWorkload(const GraphQueryMethod& method,
                               size_t k,
                               const Clock* clock = SystemClock::Default());
 
-/// Runs a workload through a QueryService (SGQ mode), submitting
-/// `concurrency` queries at a time over the shared executor. Effectiveness
-/// metrics are computed exactly as in RunMethodOnWorkload. Per-query time
-/// is wall time from submission until the future is observed resolved;
-/// futures are drained in submission order, so a fast query queued behind
-/// a slow wave-mate reads as the slow one's latency — treat avg/max as an
-/// upper bound under load (QueryService::Stats() has the true per-query
-/// histogram). The method label is "SGQ-service".
+/// Runs a workload through a QueryService (SGQ mode) in waves of
+/// `concurrency` synchronous QueryService::Query calls, run together on the
+/// service's executor with RunOnPool (the calling thread takes part).
+/// Effectiveness metrics are computed exactly as in RunMethodOnWorkload.
+/// Per-query time is measured inside each task around its own Query call,
+/// so it excludes the wait for a free worker. The method label is
+/// "SGQ-service".
 MethodRun RunServiceOnWorkload(QueryService* service,
                                const std::vector<QueryWithGold>& workload,
                                size_t k, const EngineOptions& options,

@@ -94,13 +94,6 @@ QueryService::QueryService(const KnowledgeGraph* graph,
   }
 }
 
-QueryService::~QueryService() {
-  // Async tasks capture `this`; they must all finish before members are
-  // destroyed. With an owned pool its destructor would drain them anyway,
-  // but an external executor outlives the service, so wait explicitly.
-  outstanding_.Wait();
-}
-
 Result<Decomposition> QueryService::CachedDecomposition(
     const QueryGraph& query, PivotStrategy strategy, size_t n_hat,
     uint64_t seed, const GraphView& view) {
@@ -170,28 +163,6 @@ Result<QueryResult> QueryService::AdmitAndExecute(const QueryGraph& query,
   return Execute(query, std::move(options));
 }
 
-template <typename Options>
-std::future<Result<QueryResult>> QueryService::SubmitImpl(
-    QueryGraph query, Options options, RequestPriority priority) {
-  // Admission is decided at submission so overload is reported in
-  // microseconds; the slot is held until the task finishes (it covers the
-  // queue wait) and returned on the shutdown-rejection path too.
-  if (!admission_.TryAdmit(/*async=*/true, priority)) {
-    std::promise<Result<QueryResult>> rejected;
-    rejected.set_value(
-        admission_.OverCapacityStatus(/*async=*/true, "service"));
-    return rejected.get_future();
-  }
-  return SubmitTracked<Result<QueryResult>>(
-      executor(), &outstanding_, &queued_,
-      [this, query = std::move(query), options = std::move(options)]() {
-        AdmissionSlot slot(&admission_);  // released even if Execute throws
-        return Execute(query, options);
-      },
-      Result<QueryResult>(Status::Internal("query service is shutting down")),
-      /*on_reject=*/[this] { admission_.Release(); });
-}
-
 Result<QueryResult> QueryService::Query(const QueryGraph& query,
                                         EngineOptions options,
                                         RequestPriority priority) {
@@ -202,16 +173,6 @@ Result<QueryResult> QueryService::Query(const QueryGraph& query,
                                         TimeBoundedOptions options,
                                         RequestPriority priority) {
   return AdmitAndExecute(query, std::move(options), priority);
-}
-
-std::future<Result<QueryResult>> QueryService::Submit(
-    QueryGraph query, EngineOptions options, RequestPriority priority) {
-  return SubmitImpl(std::move(query), std::move(options), priority);
-}
-
-std::future<Result<QueryResult>> QueryService::Submit(
-    QueryGraph query, TimeBoundedOptions options, RequestPriority priority) {
-  return SubmitImpl(std::move(query), std::move(options), priority);
 }
 
 Result<QueryResult> QueryService::QueryAdmitted(const QueryGraph& query,
@@ -243,9 +204,13 @@ ServiceStatsSnapshot QueryService::Stats() const {
     s.matcher_cache_stale_hits = matcher_cache_->stale_hits();
   }
   s.in_flight = in_flight_.load(std::memory_order_relaxed);
-  s.queue_depth = queued_.load(std::memory_order_relaxed);
   s.executor_queue_depth = executor()->queue_depth();
   s.admitted_outstanding = admission_.outstanding();
+  // Admitted but not yet executing. The two gauges are read apart, so a
+  // request that starts between the reads could drive this below zero.
+  s.queue_depth = s.admitted_outstanding > s.in_flight
+                      ? s.admitted_outstanding - s.in_flight
+                      : 0;
   s.uptime_seconds =
       static_cast<double>(clock_->NowMicros() - start_micros_) / 1e6;
   s.qps = s.uptime_seconds > 0.0

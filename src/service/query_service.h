@@ -20,14 +20,21 @@
 //    (QueryOptions::deadline_micros / ::cancel) that stop a running query
 //    between node expansions with kDeadlineExceeded / kCancelled.
 //
+// The service is synchronous: Query runs on the caller's thread. The one
+// asynchronous path is KgSession::Submit (api/session.h), which admits a
+// request against this service's gate at submission, queues it on the
+// shared pool, and runs it through QueryAdmitted; the session's own drain
+// keeps the service alive while such work is queued. Queue depth is read
+// off the gate: admitted requests that are not yet executing.
+//
 // Thread-safety: all public methods may be called concurrently from any
 // thread. The service holds no naked locks of its own — its mutable state
-// is the annotated LruCaches (util/lru_cache.h), the lock-free admission
-// gate and counters, and the pool-layer WaitGroup, each of which
-// synchronizes itself; the Clang thread-safety build proves the cache and
-// pool lock discipline (see util/thread_annotations.h, and the lock
-// ordering in util/mutex.h: service-layer cache locks may be taken while
-// the session registry lock is held, never the reverse).
+// is the annotated LruCaches (util/lru_cache.h) and the lock-free
+// admission gate and counters, each of which synchronizes itself; the
+// Clang thread-safety build proves the cache lock discipline (see
+// util/thread_annotations.h, and the lock ordering in util/mutex.h:
+// service-layer cache locks may be taken while the session registry lock
+// is held, never the reverse).
 // Results are bit-identical to direct serial SgqEngine execution
 // for the same query and options (the differential tests assert this);
 // admission control and never-firing deadlines/tokens do not change any
@@ -36,7 +43,6 @@
 #define KGSEARCH_SERVICE_QUERY_SERVICE_H_
 
 #include <atomic>
-#include <future>
 #include <memory>
 #include <string>
 
@@ -52,8 +58,8 @@ namespace kgsearch {
 /// TimeBoundedOptions).
 struct QueryServiceOptions {
   /// Worker threads in the shared pool; 0 = std::thread::hardware_concurrency
-  /// (minimum 2 so async queries overlap even on tiny machines). Ignored
-  /// when `executor` is set.
+  /// (minimum 2 so sub-query searches overlap even on tiny machines).
+  /// Ignored when `executor` is set.
   size_t num_threads = 0;
   /// Non-owning process-wide executor. When set, the service runs all
   /// queries on it instead of owning a pool, so many services (e.g. one per
@@ -69,9 +75,9 @@ struct QueryServiceOptions {
   /// admitted to execute immediately. 0 = admission control off (the
   /// backward-compatible default, matching pre-admission behavior).
   size_t max_in_flight = 0;
-  /// Additional admission capacity reserved for async submissions waiting
-  /// on the executor. Over-limit requests fail fast with
-  /// kResourceExhausted. Meaningless while max_in_flight == 0.
+  /// Additional admission capacity reserved for async submissions
+  /// (KgSession::Submit) waiting on the executor. Over-limit requests fail
+  /// fast with kResourceExhausted. Meaningless while max_in_flight == 0.
   size_t max_queued = 0;
 };
 
@@ -88,10 +94,6 @@ class QueryService {
                const TransformationLibrary* library,
                QueryServiceOptions options = {},
                const Clock* clock = SystemClock::Default());
-
-  /// Waits for every submitted async query to finish; when the pool is
-  /// owned (no external executor), then joins it.
-  ~QueryService();
 
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
@@ -115,24 +117,12 @@ class QueryService {
     return Query(query, std::move(options));
   }
 
-  /// Asynchronous query: enqueues on the shared pool and returns a future.
-  /// Admission is decided HERE (fail fast), not when the task starts; an
-  /// absolute deadline therefore counts queue wait.
-  std::future<Result<QueryResult>> Submit(QueryGraph query,
-                                          EngineOptions options,
-                                          RequestPriority priority =
-                                              RequestPriority::kNormal);
-  std::future<Result<QueryResult>> Submit(QueryGraph query,
-                                          TimeBoundedOptions options,
-                                          RequestPriority priority =
-                                              RequestPriority::kNormal);
-
   /// Execution for a caller that already holds a slot on
-  /// mutable_admission() (the KgSession facade admits async requests at
-  /// submission time so its session-level queue stays bounded, then runs
-  /// them here without a second gate). The caller owes exactly one
-  /// Release() — use AdmissionSlot. Deadline/cancel handling and all
-  /// counters behave exactly as in Query.
+  /// mutable_admission() (KgSession::Submit admits async requests at
+  /// submission time so its queue stays bounded, then runs them here
+  /// without a second gate). The caller owes exactly one Release() — use
+  /// AdmissionSlot. Deadline/cancel handling and all counters behave
+  /// exactly as in Query.
   Result<QueryResult> QueryAdmitted(const QueryGraph& query,
                                     EngineOptions options);
   Result<QueryResult> QueryAdmitted(const QueryGraph& query,
@@ -165,14 +155,6 @@ class QueryService {
   Result<QueryResult> AdmitAndExecute(const QueryGraph& query,
                                       Options options,
                                       RequestPriority priority);
-
-  /// Machinery behind Submit: admission at submission time, enqueue
-  /// Execute on the pool tracking queue depth, resolve the promise with an
-  /// error when the pool is shutting down.
-  template <typename Options>
-  std::future<Result<QueryResult>> SubmitImpl(QueryGraph query,
-                                              Options options,
-                                              RequestPriority priority);
 
   /// Execution after admission: deadline fast path, decomposition cache,
   /// engine call, outcome classification. Every entry point lands here;
@@ -211,14 +193,9 @@ class QueryService {
   std::atomic<uint64_t> queries_cancelled_{0};
   std::atomic<uint64_t> queries_deadline_exceeded_{0};
   std::atomic<size_t> in_flight_{0};
-  std::atomic<size_t> queued_{0};
   LatencyHistogram latency_;
   int64_t start_micros_ = 0;
 
-  /// Async submissions not yet finished; the destructor waits on this
-  /// before any member is torn down, which keeps destruction safe even
-  /// when the tasks run on an external (longer-lived) executor.
-  WaitGroup outstanding_;
   ThreadPool* external_pool_ = nullptr;  ///< non-owning; null when owned
   std::unique_ptr<ThreadPool> owned_pool_;  ///< null with an external pool
 };

@@ -120,9 +120,9 @@ struct ServiceStatsSnapshot {
   uint64_t matcher_cache_stale_hits = 0;
 
   size_t in_flight = 0;    ///< queries currently executing
-  /// THIS service's async submissions not yet started. Always per-service,
-  /// even when many services share one executor (each service counts its
-  /// own submissions; see the queue-depth test in query_service_test.cc).
+  /// Admitted requests not yet executing (admitted_outstanding − in_flight,
+  /// floored at 0): in a KgSession, this dataset's submissions waiting for
+  /// a pool worker. Always per-dataset, even when many share one executor.
   size_t queue_depth = 0;
   /// Tasks waiting in the executor the service runs on. With an external
   /// shared pool this is a pool-wide gauge (other services' queries and

@@ -12,14 +12,15 @@
 //    pool worker executing a query can fork sub-query batches and join
 //    them without risk of deadlock, because in the worst case it simply
 //    runs its whole batch itself.
+//
+// Whole queries reach the pool through one path, KgSession::Submit
+// (api/session.h), which enqueues with TrySubmit and drains its own tasks
+// with a WaitGroup before teardown.
 #ifndef KGSEARCH_UTIL_THREAD_POOL_H_
 #define KGSEARCH_UTIL_THREAD_POOL_H_
 
-#include <atomic>
 #include <functional>
 #include <future>
-#include <memory>
-#include <optional>
 #include <queue>
 #include <thread>
 #include <utility>
@@ -87,51 +88,6 @@ class ThreadPool {
 /// when > 0, otherwise std::thread::hardware_concurrency() with a floor of
 /// 2 so async work overlaps even on tiny machines.
 size_t DefaultPoolThreads(size_t requested);
-
-/// Async-submission pattern shared by the serving layers (QueryService,
-/// KgSession): enqueues `run` on `pool` and returns a future of its result.
-/// `queued` counts the task from submission until it starts (a queue-depth
-/// gauge); `outstanding` tracks it until it has fully finished, and Done()
-/// is the task's very last action — so a destructor that Wait()s on
-/// `outstanding` before tearing anything down can never race the task,
-/// even when `pool` outlives the owner. A throwing `run` reaches the
-/// client through the future; when the pool is shutting down the future
-/// resolves to `rejected` instead, after invoking `on_reject` (owners use
-/// it to return admission slots or other resources reserved at submission
-/// time that `run` would normally release).
-template <typename ResultT, typename RunFn>
-std::future<ResultT> SubmitTracked(ThreadPool* pool, WaitGroup* outstanding,
-                                   std::atomic<size_t>* queued, RunFn run,
-                                   ResultT rejected,
-                                   std::function<void()> on_reject = {}) {
-  auto promise = std::make_shared<std::promise<ResultT>>();
-  std::future<ResultT> fut = promise->get_future();
-  queued->fetch_add(1, std::memory_order_relaxed);
-  outstanding->Add(1);
-  const bool accepted = pool->TrySubmit(
-      [promise, queued, outstanding,
-       run = std::optional<RunFn>(std::move(run))]() mutable {
-        queued->fetch_sub(1, std::memory_order_relaxed);
-        try {
-          promise->set_value((*run)());
-        } catch (...) {
-          promise->set_exception(std::current_exception());
-        }
-        // Destroy the task closure BEFORE Done(): leases and other
-        // resources captured in it release from their destructors, and
-        // after Done() the owner's destructor may proceed — a release
-        // running later on this worker would touch freed state.
-        run.reset();
-        outstanding->Done();
-      });
-  if (!accepted) {
-    queued->fetch_sub(1, std::memory_order_relaxed);
-    if (on_reject) on_reject();
-    outstanding->Done();
-    promise->set_value(std::move(rejected));
-  }
-  return fut;
-}
 
 /// Runs `tasks` to completion, using `num_threads` workers (or inline when
 /// num_threads <= 1). Convenience for fork-join parallelism with a private

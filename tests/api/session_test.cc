@@ -271,7 +271,7 @@ TEST(KgSessionQueryTest, SubmitAndBatchMatchSync) {
   std::vector<Result<QueryResponse>> results = session.QueryBatch(batch);
   ASSERT_EQ(results.size(), 3u);
   // Every batch entry has started (and finished) by now.
-  EXPECT_EQ(session.queue_depth(), 0u);
+  EXPECT_EQ(session.Stats("cars").ValueOrDie().queue_depth, 0u);
   ASSERT_TRUE(results[0].ok());
   EXPECT_FALSE(results[1].ok());
   ASSERT_TRUE(results[2].ok());
@@ -315,6 +315,36 @@ TEST(KgSessionQueryTest, QueryJsonWireRoundTrip) {
   ASSERT_NE(lh.ValueOrDie().Find("error"), nullptr) << long_hops;
   EXPECT_EQ(lh.ValueOrDie().Find("error")->Find("code")->string_value(),
             "InvalidArgument");
+}
+
+// n̂ is off the wire with no upper bound. Past the range where the Eq. 1
+// cost max(avg degree, 2)^(n̂ * path length) fits a double, every cover
+// costs +inf and the decomposer can rank none: the refusal names n_hat,
+// not a missing cover. Below that range the request answers.
+TEST(KgSessionQueryTest, NHatPastTheCostRangeIsBlamedOnNHat) {
+  KgSession session;
+  ASSERT_TRUE(RegisterCars(&session).ok());
+  const auto request_with_n_hat = [](int n_hat) {
+    return "{\"v\":1,\"dataset\":\"cars\",\"query_text\":"
+           "\"?Car product GER\",\"options\":{\"n_hat\":" +
+           std::to_string(n_hat) + "}}";
+  };
+
+  const std::string overflow = session.QueryJson(request_with_n_hat(5000));
+  auto parsed = JsonValue::Parse(overflow);
+  ASSERT_TRUE(parsed.ok()) << overflow;
+  const JsonValue* error = parsed.ValueOrDie().Find("error");
+  ASSERT_NE(error, nullptr) << overflow;
+  EXPECT_EQ(error->Find("code")->string_value(), "InvalidArgument");
+  EXPECT_NE(error->Find("message")->string_value().find("n_hat"),
+            std::string::npos)
+      << overflow;
+
+  const std::string answered = session.QueryJson(request_with_n_hat(1000));
+  auto response = DecodeQueryResponseJson(answered);
+  ASSERT_TRUE(response.ok()) << answered;
+  EXPECT_EQ(AnswerNames(response.ValueOrDie()),
+            (std::vector<std::string>{"BMW_320", "Audi_TT"}));
 }
 
 /// Parks every worker of the session's shared pool until Release() is
@@ -374,6 +404,31 @@ TEST(KgSessionOverloadTest, SubmitAdmissionIsDecidedAtSubmissionTime) {
   EXPECT_EQ(stats.queries_rejected, 1u);
   EXPECT_EQ(stats.queries_total, 2u);
   EXPECT_EQ(stats.admitted_outstanding, 0u);
+}
+
+// A dataset's queue_depth counts its admitted submissions that wait for a
+// pool worker — the wire path's queue, since the TCP server sends every
+// request through Submit.
+TEST(KgSessionQueueDepthTest, CountsSubmissionsWaitingForAWorker) {
+  KgSessionOptions options;
+  options.num_threads = 1;
+  KgSession session(options);
+  ASSERT_TRUE(RegisterCars(&session).ok());
+
+  SessionPoolBlocker blocker(&session, "cars");
+  auto f1 = session.Submit(CarRequest("?Car product GER"));
+  auto f2 = session.Submit(CarRequest("?Car product GER"));
+  const ServiceStatsSnapshot waiting = session.Stats("cars").ValueOrDie();
+  EXPECT_EQ(waiting.queue_depth, 2u);
+  EXPECT_EQ(waiting.admitted_outstanding, 2u);
+  EXPECT_EQ(waiting.in_flight, 0u);
+
+  blocker.Release();
+  ASSERT_TRUE(f1.get().ok());
+  ASSERT_TRUE(f2.get().ok());
+  const ServiceStatsSnapshot drained = session.Stats("cars").ValueOrDie();
+  EXPECT_EQ(drained.queue_depth, 0u);
+  EXPECT_EQ(drained.admitted_outstanding, 0u);
 }
 
 TEST(KgSessionOverloadTest, BudgetSpentInQueueIsCountedByTheService) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
+#include <string>
 
 namespace kgsearch {
 namespace {
@@ -232,6 +234,62 @@ TEST(DecomposeTest, InfeasibleQueryFails) {
   q.AddEdge(t3, t1, "p4");
   auto result = DecomposeQuery(q, DecomposeOptions{});
   EXPECT_FALSE(result.ok());
+}
+
+// The Eq. 1 cost of a path, max(d, 2)^(n̂ * length), overflows a double
+// once n̂ * length * log2(max(d, 2)) passes 1024. A query is refused naming
+// n_hat only when every cover overflows; while some cover stays finite,
+// the longer candidates that overflow are simply never chosen.
+TEST(DecomposeTest, NHatIsBlamedOnlyWhenEveryCoverOverflows) {
+  QueryGraph q;
+  int p = q.AddTargetNode("P");
+  int a = q.AddTargetNode("A");
+  int b = q.AddTargetNode("B");
+  int s1 = q.AddSpecificNode("S", "s1");
+  int s2 = q.AddSpecificNode("S", "s2");
+  q.AddEdge(s1, p, "e0");
+  q.AddEdge(s2, a, "e1");
+  q.AddEdge(a, p, "e2");
+  q.AddEdge(s1, b, "e3");
+  q.AddEdge(b, s2, "e4");
+  DecomposeOptions options;
+  options.avg_degree = 2.0;
+
+  // n̂ = 300: pivots P and A are covered by a 3-edge and a 2-edge path
+  // (2^900 + 2^600); every cover of B needs a 4-edge path (2^1200 = inf).
+  options.n_hat = 300;
+  auto chosen = DecomposeQuery(q, options);
+  ASSERT_TRUE(chosen.ok()) << chosen.status().ToString();
+  EXPECT_NE(chosen.ValueOrDie().pivot, b);
+  EXPECT_EQ(chosen.ValueOrDie().cost,
+            std::ldexp(1.0, 900) + std::ldexp(1.0, 600));
+  auto forced = DecomposeQueryForPivot(q, b, options);
+  ASSERT_FALSE(forced.ok());
+  EXPECT_NE(forced.status().message().find("n_hat 300"), std::string::npos)
+      << forced.status().ToString();
+
+  // n̂ = 400: 3-edge paths overflow too, so every cover of every pivot does.
+  options.n_hat = 400;
+  auto refused = DecomposeQuery(q, options);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.status().message().find("n_hat 400"), std::string::npos)
+      << refused.status().ToString();
+
+  // A query with no cover at all keeps its own refusal at any n̂.
+  QueryGraph cycle;
+  int s = cycle.AddSpecificNode("C", "S");
+  int t1 = cycle.AddTargetNode("T1");
+  int t2 = cycle.AddTargetNode("T2");
+  int t3 = cycle.AddTargetNode("T3");
+  cycle.AddEdge(s, t1, "p1");
+  cycle.AddEdge(t1, t2, "p2");
+  cycle.AddEdge(t2, t3, "p3");
+  cycle.AddEdge(t3, t1, "p4");
+  auto uncoverable = DecomposeQuery(cycle, options);
+  ASSERT_FALSE(uncoverable.ok());
+  EXPECT_EQ(uncoverable.status().message().find("n_hat"), std::string::npos)
+      << uncoverable.status().ToString();
 }
 
 }  // namespace

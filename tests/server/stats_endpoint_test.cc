@@ -102,8 +102,8 @@ TEST(StatsEndpointTest, IntervalQpsTracksTheWindowNotTheLifetime) {
   // the lifetime average.
   Result<std::string> first = client.ValueOrDie().Call("GET /stats/cars");
   ASSERT_TRUE(first.ok());
-  const JsonValue* cars1 =
-      MustParse(first.ValueOrDie()).Find("datasets")->Find("cars");
+  const JsonValue doc1 = MustParse(first.ValueOrDie());
+  const JsonValue* cars1 = doc1.Find("datasets")->Find("cars");
   ASSERT_NE(cars1, nullptr);
   EXPECT_NEAR(cars1->Find("qps_interval")->number_value(),
               cars1->Find("qps_lifetime")->number_value(), 1e-9);
@@ -113,8 +113,8 @@ TEST(StatsEndpointTest, IntervalQpsTracksTheWindowNotTheLifetime) {
   // correctly reports 0.
   Result<std::string> second = client.ValueOrDie().Call("GET /stats/cars");
   ASSERT_TRUE(second.ok());
-  const JsonValue* cars2 =
-      MustParse(second.ValueOrDie()).Find("datasets")->Find("cars");
+  const JsonValue doc2 = MustParse(second.ValueOrDie());
+  const JsonValue* cars2 = doc2.Find("datasets")->Find("cars");
   ASSERT_NE(cars2, nullptr);
   EXPECT_GT(cars2->Find("qps_lifetime")->number_value(), 0.0);
   EXPECT_EQ(cars2->Find("qps_interval")->number_value(), 0.0);
@@ -125,8 +125,8 @@ TEST(StatsEndpointTest, IntervalQpsTracksTheWindowNotTheLifetime) {
   }
   Result<std::string> third = client.ValueOrDie().Call("GET /stats/cars");
   ASSERT_TRUE(third.ok());
-  const JsonValue* cars3 =
-      MustParse(third.ValueOrDie()).Find("datasets")->Find("cars");
+  const JsonValue doc3 = MustParse(third.ValueOrDie());
+  const JsonValue* cars3 = doc3.Find("datasets")->Find("cars");
   ASSERT_NE(cars3, nullptr);
   EXPECT_GT(cars3->Find("qps_interval")->number_value(), 0.0);
 }

@@ -1,19 +1,24 @@
-// Admission control, deadline, and cancellation semantics of QueryService,
-// made deterministic by parking the shared executor's only worker on a
-// latch: submissions then stay queued exactly until the test releases them,
-// so every admit/reject decision is forced, not raced.
+// Admission control, deadline, and cancellation semantics of QueryService
+// and of the asynchronous path in front of it (KgSession::Submit), made
+// deterministic by parking the shared executor's only worker on a latch:
+// submissions then stay queued exactly until the test releases them, so
+// every admit/reject decision is forced, not raced.
 #include <gtest/gtest.h>
 
 #include <future>
 #include <vector>
 
-#include "gen/car_domain.h"
 #include "service/admission.h"
 #include "service/query_service.h"
+#include "testing/q117_session.h"
 #include "util/cancel.h"
 
 namespace kgsearch {
 namespace {
+
+using testing_fixture::Fingerprint;
+using testing_fixture::Q117Request;
+using testing_fixture::RegisterCarDomain;
 
 TEST(AdmissionControllerTest, DisabledGateAdmitsEverything) {
   AdmissionController gate(0, 0);
@@ -106,47 +111,46 @@ struct PoolBlocker {
 };
 
 TEST_F(ServiceAdmissionTest, OverCapacitySubmitsFailFastAndRestResolve) {
-  ThreadPool pool(1);
-  QueryServiceOptions options;
-  options.executor = &pool;
+  KgSessionOptions options;
+  options.num_threads = 1;
   options.max_in_flight = 1;
   options.max_queued = 2;
-  QueryService service(dataset_->graph.get(), dataset_->space.get(),
-                       &dataset_->library, options);
+  KgSession session(options);
+  ASSERT_TRUE(RegisterCarDomain(&session, 120).ok());
 
   // Serial reference for the accepted queries' answers.
-  SgqEngine serial(dataset_->graph.get(), dataset_->space.get(),
-                   &dataset_->library);
+  SgqEngine serial = testing_fixture::SerialEngine(session);
   EngineOptions serial_options;
   serial_options.threads = 1;
   auto reference = serial.Query(MakeQ117Variant(4), serial_options);
   ASSERT_TRUE(reference.ok());
 
-  PoolBlocker blocker(&pool);
+  PoolBlocker blocker(session.service("cars")->executor());
   // Async capacity = max_in_flight + max_queued = 3; the worker is parked,
   // so the first three stay admitted-and-queued and the fourth must be
   // turned away immediately.
-  std::vector<std::future<Result<QueryResult>>> futures;
+  std::vector<std::future<Result<QueryResponse>>> futures;
   for (int i = 0; i < 4; ++i) {
-    futures.push_back(service.Submit(MakeQ117Variant(4), EngineOptions{}));
+    futures.push_back(session.Submit(Q117Request(4)));
   }
   auto rejected = futures[3].get();  // ready future: fail-fast, no queueing
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
 
   // Sync traffic is gated at max_in_flight alone — and 3 > 1 outstanding.
-  auto sync = service.Query(MakeQ117Variant(4), EngineOptions{});
+  auto sync = session.Query(Q117Request(4));
   ASSERT_FALSE(sync.ok());
   EXPECT_EQ(sync.status().code(), StatusCode::kResourceExhausted);
 
   // High priority bypasses the gate even now (runs on the caller's thread
   // with caller-participating sub-query batches, so the parked pool does
   // not block it).
-  auto urgent = service.Query(MakeQ117Variant(4), EngineOptions{},
-                              RequestPriority::kHigh);
+  QueryRequest urgent_request = Q117Request(4);
+  urgent_request.priority = RequestPriority::kHigh;
+  auto urgent = session.Query(urgent_request);
   ASSERT_TRUE(urgent.ok()) << urgent.status().ToString();
 
-  ServiceStatsSnapshot during = service.Stats();
+  ServiceStatsSnapshot during = session.Stats("cars").ValueOrDie();
   EXPECT_EQ(during.queries_rejected, 2u);
   EXPECT_EQ(during.admitted_outstanding, 3u);
   EXPECT_EQ(during.queue_depth, 3u);
@@ -155,17 +159,11 @@ TEST_F(ServiceAdmissionTest, OverCapacitySubmitsFailFastAndRestResolve) {
   for (int i = 0; i < 3; ++i) {
     auto r = futures[static_cast<size_t>(i)].get();
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    ASSERT_EQ(r.ValueOrDie().matches.size(),
-              reference.ValueOrDie().matches.size());
-    for (size_t m = 0; m < r.ValueOrDie().matches.size(); ++m) {
-      EXPECT_EQ(r.ValueOrDie().matches[m].pivot_match,
-                reference.ValueOrDie().matches[m].pivot_match);
-      EXPECT_EQ(r.ValueOrDie().matches[m].score,
-                reference.ValueOrDie().matches[m].score);
-    }
+    EXPECT_EQ(Fingerprint(r.ValueOrDie()),
+              Fingerprint(reference.ValueOrDie()));
   }
 
-  ServiceStatsSnapshot after = service.Stats();
+  ServiceStatsSnapshot after = session.Stats("cars").ValueOrDie();
   EXPECT_EQ(after.admitted_outstanding, 0u);
   EXPECT_EQ(after.queue_depth, 0u);
   EXPECT_EQ(after.queries_rejected, 2u);
@@ -230,50 +228,49 @@ TEST_F(ServiceAdmissionTest, CancelledTokenCountsAndFailsFast) {
 }
 
 TEST_F(ServiceAdmissionTest, AsyncDeadlineCoversQueueWait) {
-  // One parked worker + an absolute deadline already set: the task waits
+  // One parked worker + a deadline stamped at submission: the task waits
   // in the queue past its deadline and must resolve kDeadlineExceeded
   // without executing the engine.
   ManualClock clock(1'000'000);
-  ThreadPool pool(1);
-  QueryServiceOptions options;
-  options.executor = &pool;
-  QueryService service(dataset_->graph.get(), dataset_->space.get(),
-                       &dataset_->library, options, &clock);
+  KgSessionOptions options;
+  options.num_threads = 1;
+  KgSession session(options, &clock);
+  ASSERT_TRUE(RegisterCarDomain(&session, 120).ok());
 
-  PoolBlocker blocker(&pool);
-  EngineOptions engine_options;
-  engine_options.deadline_micros = 1'500'000;
-  auto future = service.Submit(MakeQ117Variant(4), engine_options);
+  PoolBlocker blocker(session.service("cars")->executor());
+  QueryRequest request = Q117Request(4);
+  request.deadline_ms = 500;  // absolute deadline 1'500'000
+  auto future = session.Submit(request);
   clock.AdvanceMicros(1'000'000);  // budget burns away while queued
   blocker.Release();
   auto r = future.get();
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(service.Stats().queries_deadline_exceeded, 1u);
+  EXPECT_EQ(session.Stats("cars").ValueOrDie().queries_deadline_exceeded,
+            1u);
 }
 
-// Satellite: queue-depth semantics under a shared executor. Each service
-// reports ITS OWN submitted-not-yet-started count; the pool-wide signal is
+// Queue-depth semantics under a shared executor: two datasets in one
+// session share its pool, and each reports only ITS OWN admitted
+// submissions that have not started; the pool-wide signal is
 // executor_queue_depth, shared by design.
 TEST_F(ServiceAdmissionTest, QueueDepthIsPerServiceOnSharedExecutor) {
-  ThreadPool pool(1);
-  QueryServiceOptions options;
-  options.executor = &pool;
-  QueryService service_a(dataset_->graph.get(), dataset_->space.get(),
-                         &dataset_->library, options);
-  QueryService service_b(dataset_->graph.get(), dataset_->space.get(),
-                         &dataset_->library, options);
+  KgSessionOptions options;
+  options.num_threads = 1;
+  KgSession session(options);
+  ASSERT_TRUE(RegisterCarDomain(&session, 120, "a").ok());
+  ASSERT_TRUE(RegisterCarDomain(&session, 120, "b").ok());
 
-  PoolBlocker blocker(&pool);
-  auto a1 = service_a.Submit(MakeQ117Variant(1), EngineOptions{});
-  auto a2 = service_a.Submit(MakeQ117Variant(2), EngineOptions{});
-  auto b1 = service_b.Submit(MakeQ117Variant(3), EngineOptions{});
+  PoolBlocker blocker(session.service("a")->executor());
+  auto a1 = session.Submit(Q117Request(1, 10, "a"));
+  auto a2 = session.Submit(Q117Request(2, 10, "a"));
+  auto b1 = session.Submit(Q117Request(3, 10, "b"));
 
-  const ServiceStatsSnapshot stats_a = service_a.Stats();
-  const ServiceStatsSnapshot stats_b = service_b.Stats();
+  const ServiceStatsSnapshot stats_a = session.Stats("a").ValueOrDie();
+  const ServiceStatsSnapshot stats_b = session.Stats("b").ValueOrDie();
   EXPECT_EQ(stats_a.queue_depth, 2u) << "A's own submissions only";
   EXPECT_EQ(stats_b.queue_depth, 1u) << "B's own submissions only";
-  // The executor gauge is pool-wide: both services see all 3 waiting tasks.
+  // The executor gauge is pool-wide: both datasets see all 3 waiting tasks.
   EXPECT_EQ(stats_a.executor_queue_depth, 3u);
   EXPECT_EQ(stats_b.executor_queue_depth, 3u);
 
@@ -281,8 +278,8 @@ TEST_F(ServiceAdmissionTest, QueueDepthIsPerServiceOnSharedExecutor) {
   EXPECT_TRUE(a1.get().ok());
   EXPECT_TRUE(a2.get().ok());
   EXPECT_TRUE(b1.get().ok());
-  EXPECT_EQ(service_a.Stats().queue_depth, 0u);
-  EXPECT_EQ(service_b.Stats().queue_depth, 0u);
+  EXPECT_EQ(session.Stats("a").ValueOrDie().queue_depth, 0u);
+  EXPECT_EQ(session.Stats("b").ValueOrDie().queue_depth, 0u);
 }
 
 }  // namespace

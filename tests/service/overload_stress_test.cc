@@ -1,7 +1,8 @@
 // Overload and cancellation stress (ctest label: stress; runs under ASan
-// and TSan in CI): flood a bounded-admission QueryService well past its
-// capacity from many client threads and assert the trichotomy the serving
-// contract promises — every request resolves to exactly one of
+// and TSan in CI): flood a bounded-admission dataset well past its capacity
+// through KgSession::Submit, the one asynchronous path, from many client
+// threads and assert the trichotomy the serving contract promises — every
+// request resolves to exactly one of
 //   {answer bit-identical to serial execution,
 //    kResourceExhausted  (admission rejection),
 //    kDeadlineExceeded   (its own deadline fired)}
@@ -17,43 +18,23 @@
 #include <thread>
 #include <vector>
 
-#include "gen/car_domain.h"
-#include "service/query_service.h"
+#include "testing/q117_session.h"
 #include "util/cancel.h"
 
 namespace kgsearch {
 namespace {
 
-class OverloadStressTest : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    auto result = MakeCarDomainDataset(150, 117);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    dataset_ = std::move(result).ValueOrDie().release();
-  }
-  static void TearDownTestSuite() {
-    delete dataset_;
-    dataset_ = nullptr;
-  }
-  static GeneratedDataset* dataset_;
-};
+using testing_fixture::AnswerFingerprint;
+using testing_fixture::Fingerprint;
+using testing_fixture::Q117Request;
+using testing_fixture::RegisterCarDomain;
 
-GeneratedDataset* OverloadStressTest::dataset_ = nullptr;
-
-std::vector<std::pair<NodeId, double>> Fingerprint(const QueryResult& r) {
-  std::vector<std::pair<NodeId, double>> fp;
-  fp.reserve(r.matches.size());
-  for (const FinalMatch& m : r.matches) {
-    fp.emplace_back(m.pivot_match, m.score);
-  }
-  return fp;
-}
-
-/// Serial (threads = 1) reference fingerprints for the 4 Q117 variants.
-std::map<int, std::vector<std::pair<NodeId, double>>> MakeReferences(
-    const GeneratedDataset& ds, size_t k) {
-  SgqEngine serial(ds.graph.get(), ds.space.get(), &ds.library);
-  std::map<int, std::vector<std::pair<NodeId, double>>> refs;
+/// Serial (threads = 1) reference fingerprints for the 4 Q117 variants, on
+/// the session's own copy of the dataset.
+std::map<int, AnswerFingerprint> MakeReferences(const KgSession& session,
+                                                size_t k) {
+  SgqEngine serial = testing_fixture::SerialEngine(session);
+  std::map<int, AnswerFingerprint> refs;
   for (int variant = 1; variant <= 4; ++variant) {
     EngineOptions options;
     options.k = k;
@@ -65,32 +46,36 @@ std::map<int, std::vector<std::pair<NodeId, double>>> MakeReferences(
   return refs;
 }
 
+/// A session over a fresh 150-car dataset named "cars".
+std::unique_ptr<KgSession> MakeSession(const KgSessionOptions& options) {
+  auto session = std::make_unique<KgSession>(options);
+  KG_CHECK(RegisterCarDomain(session.get(), 150).ok());
+  return session;
+}
+
 // Deterministic overload accounting: with the executor's only worker
 // parked, capacity fills exactly and every request past it is rejected at
 // submission — exact counts, no racing.
-TEST_F(OverloadStressTest, BlockedPoolRejectsExactlyTheOverflow) {
-  ThreadPool pool(1);
-  QueryServiceOptions options;
-  options.executor = &pool;
+TEST(OverloadStressTest, BlockedPoolRejectsExactlyTheOverflow) {
+  KgSessionOptions options;
+  options.num_threads = 1;
   options.max_in_flight = 1;
   options.max_queued = 2;
-  QueryService service(dataset_->graph.get(), dataset_->space.get(),
-                       &dataset_->library, options);
-  const auto refs = MakeReferences(*dataset_, 10);
+  auto session = MakeSession(options);
+  const auto refs = MakeReferences(*session, 10);
 
   std::promise<void> gate;
   std::promise<void> started;
-  std::future<void> blocker = pool.Submit([&gate, &started] {
-    started.set_value();
-    gate.get_future().wait();
-  });
+  std::future<void> blocker =
+      session->service("cars")->executor()->Submit([&gate, &started] {
+        started.set_value();
+        gate.get_future().wait();
+      });
   started.get_future().wait();  // worker parked; queue observably empty
 
-  std::vector<std::future<Result<QueryResult>>> futures;
-  EngineOptions qopts;
-  qopts.k = 10;
+  std::vector<std::future<Result<QueryResponse>>> futures;
   for (int i = 0; i < 10; ++i) {
-    futures.push_back(service.Submit(MakeQ117Variant(4), qopts));
+    futures.push_back(session->Submit(Q117Request(4, 10)));
   }
   gate.set_value();
   blocker.wait();
@@ -109,7 +94,7 @@ TEST_F(OverloadStressTest, BlockedPoolRejectsExactlyTheOverflow) {
   }
   EXPECT_EQ(ok, 3u);        // max_in_flight + max_queued
   EXPECT_EQ(rejected, 7u);  // everything past capacity, fail-fast
-  const ServiceStatsSnapshot stats = service.Stats();
+  const ServiceStatsSnapshot stats = session->Stats("cars").ValueOrDie();
   EXPECT_EQ(stats.queries_rejected, 7u);
   EXPECT_EQ(stats.queries_total, 3u);
   EXPECT_EQ(stats.admitted_outstanding, 0u);
@@ -119,14 +104,13 @@ TEST_F(OverloadStressTest, BlockedPoolRejectsExactlyTheOverflow) {
 // Live fire: 8 client threads keep ~4x max_in_flight requests in the air
 // for several rounds, a third of them carrying real (sometimes tight)
 // deadlines. Every future must resolve to exactly one trichotomy outcome.
-TEST_F(OverloadStressTest, FloodAtFourTimesCapacityResolvesEveryRequest) {
-  QueryServiceOptions soptions;
+TEST(OverloadStressTest, FloodAtFourTimesCapacityResolvesEveryRequest) {
+  KgSessionOptions soptions;
   soptions.num_threads = 2;
   soptions.max_in_flight = 2;
   soptions.max_queued = 6;
-  QueryService service(dataset_->graph.get(), dataset_->space.get(),
-                       &dataset_->library, soptions);
-  const auto refs = MakeReferences(*dataset_, 10);
+  auto session = MakeSession(soptions);
+  const auto refs = MakeReferences(*session, 10);
 
   constexpr size_t kThreads = 8;
   constexpr size_t kRounds = 5;
@@ -140,26 +124,23 @@ TEST_F(OverloadStressTest, FloodAtFourTimesCapacityResolvesEveryRequest) {
     clients.emplace_back([&, t] {
       for (size_t round = 0; round < kRounds; ++round) {
         struct Pending {
-          std::future<Result<QueryResult>> future;
+          std::future<Result<QueryResponse>> future;
           int variant;
           bool had_deadline;
         };
         std::vector<Pending> pending;
         for (size_t i = 0; i < kPerRound; ++i) {
           const int variant = static_cast<int>((t + round + i) % 4) + 1;
-          EngineOptions options;
-          options.k = 10;
+          QueryRequest request = Q117Request(variant, 10);
           // Every third request gets a real deadline: generous on even
           // rounds (should virtually always make it), 1ms on odd rounds
           // (may or may not fire — both outcomes are legal).
           const bool with_deadline = i % 3 == 0;
           if (with_deadline) {
-            options.deadline_micros = DeadlineFromNowMs(
-                round % 2 == 0 ? 60'000 : 1, SystemClock::Default());
+            request.deadline_ms = round % 2 == 0 ? 60'000 : 1;
           }
-          pending.push_back({service.Submit(MakeQ117Variant(variant),
-                                            options),
-                             variant, with_deadline});
+          pending.push_back(
+              {session->Submit(std::move(request)), variant, with_deadline});
         }
         for (Pending& p : pending) {
           auto r = p.future.get();
@@ -192,7 +173,7 @@ TEST_F(OverloadStressTest, FloodAtFourTimesCapacityResolvesEveryRequest) {
   // 32 concurrent against capacity 8 must actually shed load.
   EXPECT_GT(rejected_count.load(), 0u);
 
-  const ServiceStatsSnapshot stats = service.Stats();
+  const ServiceStatsSnapshot stats = session->Stats("cars").ValueOrDie();
   EXPECT_EQ(stats.queries_rejected, rejected_count.load());
   EXPECT_EQ(stats.queries_deadline_exceeded, deadline_count.load());
   EXPECT_EQ(stats.queries_total, ok_count + deadline_count);
@@ -204,12 +185,11 @@ TEST_F(OverloadStressTest, FloodAtFourTimesCapacityResolvesEveryRequest) {
 // Cancellation storm: concurrent clients revoke half their requests while
 // they are queued or running. Every future resolves to a serial-exact
 // answer or kCancelled; the tokens outlive resolution, and no slot leaks.
-TEST_F(OverloadStressTest, ConcurrentCancellationResolvesCleanly) {
-  QueryServiceOptions soptions;
+TEST(OverloadStressTest, ConcurrentCancellationResolvesCleanly) {
+  KgSessionOptions soptions;
   soptions.num_threads = 2;
-  QueryService service(dataset_->graph.get(), dataset_->space.get(),
-                       &dataset_->library, soptions);
-  const auto refs = MakeReferences(*dataset_, 40);
+  auto session = MakeSession(soptions);
+  const auto refs = MakeReferences(*session, 40);
 
   constexpr size_t kThreads = 8;
   constexpr size_t kRounds = 4;
@@ -220,11 +200,8 @@ TEST_F(OverloadStressTest, ConcurrentCancellationResolvesCleanly) {
     clients.emplace_back([&, t] {
       for (size_t round = 0; round < kRounds; ++round) {
         const int variant = static_cast<int>((t + round) % 4) + 1;
-        EngineOptions options;
-        options.k = 40;
         auto token = std::make_unique<CancelToken>();
-        options.cancel = token.get();
-        auto future = service.Submit(MakeQ117Variant(variant), options);
+        auto future = session->Submit(Q117Request(variant, 40), token.get());
         if ((t + round) % 2 == 0) token->Cancel();
         auto r = future.get();  // token alive until resolution
         if (r.ok()) {
@@ -245,7 +222,7 @@ TEST_F(OverloadStressTest, ConcurrentCancellationResolvesCleanly) {
   EXPECT_EQ(ok_count + cancelled_count, kThreads * kRounds);
   EXPECT_EQ(wrong.load(), 0u);
   EXPECT_EQ(bad.load(), 0u);
-  const ServiceStatsSnapshot stats = service.Stats();
+  const ServiceStatsSnapshot stats = session->Stats("cars").ValueOrDie();
   EXPECT_EQ(stats.queries_cancelled, cancelled_count.load());
   EXPECT_EQ(stats.in_flight, 0u);
   EXPECT_EQ(stats.admitted_outstanding, 0u);

@@ -2,10 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <future>
 #include <vector>
 
 #include "gen/car_domain.h"
+#include "testing/q117_session.h"
 
 namespace kgsearch {
 namespace {
@@ -22,9 +22,9 @@ class QueryServiceTest : public ::testing::Test {
     dataset_ = nullptr;
   }
 
-  static QueryService MakeService(size_t threads = 4) {
+  static QueryService MakeService() {
     QueryServiceOptions options;
-    options.num_threads = threads;
+    options.num_threads = 4;
     return QueryService(dataset_->graph.get(), dataset_->space.get(),
                         &dataset_->library, options);
   }
@@ -89,24 +89,6 @@ TEST_F(QueryServiceTest, RepeatedQueryHitsPlanAndMatcherCaches) {
   ExpectIdenticalResults(first.ValueOrDie(), second.ValueOrDie());
 }
 
-TEST_F(QueryServiceTest, SubmitDeliversSameResultsAsSync) {
-  QueryService service = MakeService();
-  std::vector<std::future<Result<QueryResult>>> futures;
-  EngineOptions options;
-  options.k = 15;
-  for (int variant = 1; variant <= 4; ++variant) {
-    futures.push_back(service.Submit(MakeQ117Variant(variant), options));
-  }
-  for (int variant = 1; variant <= 4; ++variant) {
-    auto async_result = futures[static_cast<size_t>(variant - 1)].get();
-    ASSERT_TRUE(async_result.ok()) << async_result.status().ToString();
-    auto sync_result = service.Query(MakeQ117Variant(variant), options);
-    ASSERT_TRUE(sync_result.ok());
-    ExpectIdenticalResults(async_result.ValueOrDie(),
-                           sync_result.ValueOrDie());
-  }
-}
-
 TEST_F(QueryServiceTest, TimeBoundedThroughServiceConvergesUnderGenerousBound) {
   QueryService service = MakeService();
   QueryGraph q = MakeQ117Variant(4);
@@ -120,9 +102,18 @@ TEST_F(QueryServiceTest, TimeBoundedThroughServiceConvergesUnderGenerousBound) {
   EXPECT_FALSE(tbq.ValueOrDie().matches.empty());
   EXPECT_LE(tbq.ValueOrDie().matches.size(), 20u);
 
-  auto async_tbq = service.Submit(q, toptions).get();
+  // The asynchronous path (KgSession::Submit) over the same dataset,
+  // generated again, answers the same ids.
+  KgSession session;
+  ASSERT_TRUE(testing_fixture::RegisterCarDomain(&session, 150).ok());
+  QueryRequest request = testing_fixture::Q117Request(4, toptions.k);
+  request.mode = QueryMode::kTbq;
+  request.options.time_bound_micros = toptions.time_bound_micros;
+  request.options.per_match_assembly_micros =
+      toptions.per_match_assembly_micros;
+  auto async_tbq = session.Submit(request).get();
   ASSERT_TRUE(async_tbq.ok());
-  EXPECT_EQ(async_tbq.ValueOrDie().AnswerIds(),
+  EXPECT_EQ(testing_fixture::AnswerIds(async_tbq.ValueOrDie()),
             tbq.ValueOrDie().AnswerIds());
 }
 
@@ -163,23 +154,6 @@ TEST_F(QueryServiceTest, FailedQueriesAreCounted) {
   EXPECT_EQ(stats.queries_failed, 1u);
 }
 
-TEST_F(QueryServiceTest, DestructionDrainsOutstandingSubmissions) {
-  std::vector<std::future<Result<QueryResult>>> futures;
-  {
-    QueryService service = MakeService(2);
-    EngineOptions options;
-    options.k = 10;
-    for (int i = 0; i < 12; ++i) {
-      futures.push_back(service.Submit(MakeQ117Variant(1 + i % 4), options));
-    }
-    // Service goes out of scope with submissions potentially still queued.
-  }
-  for (auto& f : futures) {
-    auto r = f.get();  // must be resolved, not abandoned
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-  }
-}
-
 TEST_F(QueryServiceTest, ExternalExecutorSharedByTwoServices) {
   // One process-wide pool, two services (the KgSession deployment shape):
   // results must be bit-identical to an owned-pool service.
@@ -203,32 +177,6 @@ TEST_F(QueryServiceTest, ExternalExecutorSharedByTwoServices) {
     ASSERT_TRUE(ra.ok() && rb.ok() && ro.ok()) << "variant " << variant;
     ExpectIdenticalResults(ra.ValueOrDie(), ro.ValueOrDie());
     ExpectIdenticalResults(rb.ValueOrDie(), ro.ValueOrDie());
-  }
-}
-
-TEST_F(QueryServiceTest, DestructionOnExternalExecutorDrainsInFlightWork) {
-  // The service dies before the pool: its destructor must wait for every
-  // async submission (which references service members) to finish, and
-  // every future must still resolve.
-  ThreadPool pool(2);
-  std::vector<std::future<Result<QueryResult>>> futures;
-  {
-    QueryServiceOptions options;
-    options.executor = &pool;
-    QueryService service(dataset_->graph.get(), dataset_->space.get(),
-                         &dataset_->library, options);
-    EngineOptions eoptions;
-    eoptions.k = 10;
-    for (int i = 0; i < 12; ++i) {
-      futures.push_back(
-          service.Submit(MakeQ117Variant(1 + i % 4), eoptions));
-    }
-    // Service destroyed here with submissions still queued on the pool.
-  }
-  for (auto& fut : futures) {
-    auto r = fut.get();  // must not throw broken_promise
-    ASSERT_TRUE(r.ok());
-    EXPECT_FALSE(r.ValueOrDie().matches.empty());
   }
 }
 

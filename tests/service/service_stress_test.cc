@@ -1,6 +1,7 @@
 // Concurrency stress: many threads firing queries through one QueryService
-// over one shared executor, with every concurrent result compared against
-// serial SgqEngine execution. This binary is the primary subject of the CI
+// over one shared executor, and bursts through KgSession::Submit (the one
+// asynchronous path), with every concurrent result compared against serial
+// SgqEngine execution. This binary is the primary subject of the CI
 // ThreadSanitizer job.
 #include <gtest/gtest.h>
 
@@ -12,9 +13,13 @@
 
 #include "gen/car_domain.h"
 #include "service/query_service.h"
+#include "testing/q117_session.h"
 
 namespace kgsearch {
 namespace {
+
+using testing_fixture::Q117Request;
+using testing_fixture::RegisterCarDomain;
 
 class ServiceStressTest : public ::testing::Test {
  protected:
@@ -54,15 +59,8 @@ EngineOptions OptionsFor(const WorkItem& item) {
   return options;
 }
 
-/// Compact, order-sensitive fingerprint of a result for equality checks.
-std::vector<std::pair<NodeId, double>> Fingerprint(const QueryResult& r) {
-  std::vector<std::pair<NodeId, double>> fp;
-  fp.reserve(r.matches.size());
-  for (const FinalMatch& m : r.matches) {
-    fp.emplace_back(m.pivot_match, m.score);
-  }
-  return fp;
-}
+using testing_fixture::AnswerIds;
+using testing_fixture::Fingerprint;
 
 // N threads x M queries through one service; every result must equal the
 // serial SgqEngine reference bit-for-bit (pivot ids and scores, in rank
@@ -129,19 +127,17 @@ TEST_F(ServiceStressTest, ConcurrentResultsIdenticalToSerialExecution) {
 // A full burst of async submissions (4x more than pool threads) must all
 // resolve with serial-identical results.
 TEST_F(ServiceStressTest, AsyncBurstResolvesEveryFutureCorrectly) {
-  SgqEngine serial(dataset_->graph.get(), dataset_->space.get(),
-                   &dataset_->library);
-  QueryServiceOptions soptions;
+  KgSessionOptions soptions;
   soptions.num_threads = 4;
-  QueryService service(dataset_->graph.get(), dataset_->space.get(),
-                       &dataset_->library, soptions);
+  KgSession session(soptions);
+  ASSERT_TRUE(RegisterCarDomain(&session, 150).ok());
+  SgqEngine serial = testing_fixture::SerialEngine(session);
 
   const std::vector<WorkItem> workload = MakeWorkload();
-  std::vector<std::future<Result<QueryResult>>> futures;
+  std::vector<std::future<Result<QueryResponse>>> futures;
   for (size_t rep = 0; rep < 2; ++rep) {
     for (const WorkItem& item : workload) {
-      futures.push_back(
-          service.Submit(MakeQ117Variant(item.variant), OptionsFor(item)));
+      futures.push_back(session.Submit(Q117Request(item.variant, item.k)));
     }
   }
   for (size_t i = 0; i < futures.size(); ++i) {
@@ -162,52 +158,48 @@ TEST_F(ServiceStressTest, AsyncBurstResolvesEveryFutureCorrectly) {
 // exhaustion), so all concurrent TBQ answers must agree with a serial TBQ
 // reference.
 TEST_F(ServiceStressTest, MixedSgqTbqTrafficStaysDeterministic) {
-  QueryServiceOptions soptions;
+  KgSessionOptions soptions;
   soptions.num_threads = 4;
-  QueryService service(dataset_->graph.get(), dataset_->space.get(),
-                       &dataset_->library, soptions);
+  KgSession session(soptions);
+  ASSERT_TRUE(RegisterCarDomain(&session, 150).ok());
 
-  TimeBoundedOptions toptions;
-  toptions.k = 20;
-  toptions.time_bound_micros = 1'000'000'000;
-  toptions.per_match_assembly_micros = 0.5;
+  QueryRequest tbq_request = Q117Request(4, 20);
+  tbq_request.mode = QueryMode::kTbq;
+  tbq_request.options.time_bound_micros = 1'000'000'000;
+  tbq_request.options.per_match_assembly_micros = 0.5;
 
-  SgqEngine serial_tbq(dataset_->graph.get(), dataset_->space.get(),
-                       &dataset_->library);
-  TimeBoundedOptions serial_opts = toptions;
+  SgqEngine serial_tbq = testing_fixture::SerialEngine(session);
+  TimeBoundedOptions serial_opts = ToTimeBoundedOptions(tbq_request.options);
   serial_opts.threads = 1;
   auto tbq_ref = serial_tbq.Query(MakeQ117Variant(4), serial_opts);
   ASSERT_TRUE(tbq_ref.ok());
   ASSERT_FALSE(tbq_ref.ValueOrDie().stopped_by_time);
   const std::vector<NodeId> tbq_answers = tbq_ref.ValueOrDie().AnswerIds();
 
-  EngineOptions sgq_options;
-  sgq_options.k = 20;
-  SgqEngine serial_sgq(dataset_->graph.get(), dataset_->space.get(),
-                       &dataset_->library);
-  EngineOptions sgq_serial = sgq_options;
+  const QueryRequest sgq_request = Q117Request(4, 20);
+  SgqEngine serial_sgq = testing_fixture::SerialEngine(session);
+  EngineOptions sgq_serial = ToEngineOptions(sgq_request.options);
   sgq_serial.threads = 1;
   auto sgq_ref = serial_sgq.Query(MakeQ117Variant(4), sgq_serial);
   ASSERT_TRUE(sgq_ref.ok());
   const std::vector<NodeId> sgq_answers = sgq_ref.ValueOrDie().AnswerIds();
 
-  std::vector<std::future<Result<QueryResult>>> sgq_futures;
-  std::vector<std::future<Result<QueryResult>>> tbq_futures;
+  std::vector<std::future<Result<QueryResponse>>> sgq_futures;
+  std::vector<std::future<Result<QueryResponse>>> tbq_futures;
   for (int i = 0; i < 8; ++i) {
-    sgq_futures.push_back(service.Submit(MakeQ117Variant(4), sgq_options));
-    tbq_futures.push_back(
-        service.Submit(MakeQ117Variant(4), toptions));
+    sgq_futures.push_back(session.Submit(sgq_request));
+    tbq_futures.push_back(session.Submit(tbq_request));
   }
   for (auto& f : sgq_futures) {
     auto r = f.get();
     ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r.ValueOrDie().AnswerIds(), sgq_answers);
+    EXPECT_EQ(AnswerIds(r.ValueOrDie()), sgq_answers);
   }
   for (auto& f : tbq_futures) {
     auto r = f.get();
     ASSERT_TRUE(r.ok());
     EXPECT_FALSE(r.ValueOrDie().stopped_by_time);
-    EXPECT_EQ(r.ValueOrDie().AnswerIds(), tbq_answers);
+    EXPECT_EQ(AnswerIds(r.ValueOrDie()), tbq_answers);
   }
 }
 

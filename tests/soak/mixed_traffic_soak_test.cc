@@ -177,7 +177,6 @@ void RunSoak(uint64_t num_nodes, double seconds) {
   EXPECT_EQ(stats.admitted_outstanding, 0u);
   EXPECT_EQ(stats.in_flight, 0u);
   EXPECT_EQ(stats.queue_depth, 0u);
-  EXPECT_EQ(session.queue_depth(), 0u);
 
   // Zero-drift accounting: every issued request completed or was rejected,
   // and the service's overload/cancel/deadline counters match what the
