@@ -8,19 +8,6 @@
 
 namespace kgsearch {
 
-namespace {
-
-/// Exact dot over two store rows at logical dimension: the same index
-/// order and double accumulation as vector_math::Dot on FloatVecs, so
-/// scores computed here are bitwise equal to Dot over the same vectors.
-double ExactDot(const float* a, const float* b, size_t dim) {
-  double s = 0.0;
-  for (size_t i = 0; i < dim; ++i) s += static_cast<double>(a[i]) * b[i];
-  return s;
-}
-
-}  // namespace
-
 PredicateSpace::PredicateSpace(std::vector<FloatVec> vectors,
                                std::vector<std::string> names)
     : names_(std::move(names)) {
@@ -53,7 +40,7 @@ double PredicateSpace::Cosine(PredicateId a, PredicateId b) const {
   KG_CHECK(a < store_.size() && b < store_.size());
   if (a == b) return 1.0;
   // Rows are unit-normalized at construction, so the dot is the cosine.
-  return ExactDot(store_.Row(a), store_.Row(b), store_.dim());
+  return Dot(store_.Row(a), store_.Row(b), store_.dim());
 }
 
 void PredicateSpace::WeightRow(PredicateId q, size_t count,
@@ -62,7 +49,7 @@ void PredicateSpace::WeightRow(PredicateId q, size_t count,
   const float* qrow = store_.Row(q);
   const size_t dim = store_.dim();
   for (size_t p = 0; p < count; ++p) {
-    double c = (p == q) ? 1.0 : ExactDot(qrow, store_.Row(p), dim);
+    double c = (p == q) ? 1.0 : Dot(qrow, store_.Row(p), dim);
     if (c < kMinWeight) {
       c = kMinWeight;
     } else if (c > 1.0) {
@@ -98,7 +85,7 @@ void PredicateSpace::SimilarityScan(
   const size_t dim = store_.dim();
   for (PredicateId q = 0; q < store_.size(); ++q) {
     if (q == p) continue;
-    fn(q, ExactDot(qrow, store_.Row(q), dim));
+    fn(q, Dot(qrow, store_.Row(q), dim));
   }
 }
 

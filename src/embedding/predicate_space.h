@@ -5,11 +5,11 @@
 // semantic graph are clamped to [kMinWeight, 1] so the geometric-mean pss
 // (Eq. 6) stays well defined.
 //
-// Storage and arithmetic: the unit-normalized vectors live in one
-// contiguous block (embedding/vector_store.h), and every similarity —
+// Storage and arithmetic: the unit-normalized vectors are plain rows of
+// one VectorStore (embedding/vector_store.h), and every similarity —
 // Cosine(), Weight(), WeightRow(), TopSimilar() and SimilarityScan() — is
-// the same exact double-accumulated scalar dot over two rows, so each
-// entry point returns the same bits for the same pair.
+// vector_math's Dot over two rows, so each entry point returns the same
+// bits for the same pair, and the same bits as Dot over Vector() copies.
 #ifndef KGSEARCH_EMBEDDING_PREDICATE_SPACE_H_
 #define KGSEARCH_EMBEDDING_PREDICATE_SPACE_H_
 

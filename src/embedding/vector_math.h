@@ -1,8 +1,13 @@
 // Dense float vector helpers for embedding training and similarity.
+//
+// Every dot product in the library — over FloatVecs here, over VectorStore
+// rows in PredicateSpace — runs the one loop in Dot(const float*, ...), so
+// equal inputs give bitwise-equal results on every path.
 #ifndef KGSEARCH_EMBEDDING_VECTOR_MATH_H_
 #define KGSEARCH_EMBEDDING_VECTOR_MATH_H_
 
 #include <cmath>
+#include <cstddef>
 #include <vector>
 
 #include "util/rng.h"
@@ -12,12 +17,18 @@ namespace kgsearch {
 
 using FloatVec = std::vector<float>;
 
+/// Dot product of two `n`-float arrays, accumulated in double in index
+/// order.
+inline double Dot(const float* a, const float* b, size_t n) {
+  double s = 0.0;
+  for (size_t i = 0; i < n; ++i) s += static_cast<double>(a[i]) * b[i];
+  return s;
+}
+
 /// Dot product. Requires equal sizes.
 inline double Dot(const FloatVec& a, const FloatVec& b) {
   KG_CHECK(a.size() == b.size());
-  double s = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) s += static_cast<double>(a[i]) * b[i];
-  return s;
+  return Dot(a.data(), b.data(), a.size());
 }
 
 /// Euclidean norm.

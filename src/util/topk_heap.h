@@ -5,16 +5,17 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <queue>
+#include <utility>
 #include <vector>
 
 namespace kgsearch {
 
 /// Keeps the k items with the largest scores seen so far.
 ///
-/// Push is O(log k); extraction returns items in descending score order.
-/// Ties are broken by insertion order (earlier insertions win), which keeps
-/// top-k results deterministic across runs.
+/// Push is O(log k), and TakeSortedDescending is the only read: it returns
+/// the retained items in descending score order. Ties are broken by
+/// insertion order (earlier insertions win), which keeps top-k results
+/// deterministic across runs.
 template <typename T>
 class TopKHeap {
  public:
@@ -39,15 +40,6 @@ class TopKHeap {
   size_t size() const { return heap_.size(); }
   bool empty() const { return heap_.empty(); }
   size_t capacity() const { return k_; }
-
-  /// Smallest retained score; meaningful only when size() == capacity().
-  double MinScore() const { return heap_.empty() ? 0.0 : heap_.front().score; }
-
-  /// True when the heap is full and `score` cannot enter it.
-  bool WouldReject(double score) const {
-    return heap_.size() == k_ &&
-           (k_ == 0 || score <= heap_.front().score);
-  }
 
   /// Extracts all retained items in descending score order. Clears the heap.
   std::vector<std::pair<double, T>> TakeSortedDescending() {

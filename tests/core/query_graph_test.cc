@@ -6,6 +6,8 @@
 #include <set>
 #include <string>
 
+#include "util/string_util.h"
+
 namespace kgsearch {
 namespace {
 
@@ -125,8 +127,8 @@ TEST(DecomposeTest, StarPivotIsCenter) {
   QueryGraph q;
   int center = q.AddTargetNode("Automobile");
   for (int i = 0; i < 3; ++i) {
-    int anchor = q.AddSpecificNode("Country", "C" + std::to_string(i));
-    q.AddEdge(center, anchor, "p" + std::to_string(i));
+    int anchor = q.AddSpecificNode("Country", StrFormat("C%d", i));
+    q.AddEdge(center, anchor, StrFormat("p%d", i));
   }
   auto result = DecomposeQuery(q, DecomposeOptions{});
   ASSERT_TRUE(result.ok());

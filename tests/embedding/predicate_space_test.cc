@@ -100,7 +100,6 @@ TEST(PredicateSpaceTest, StoreExposesNormalizedRows) {
   const VectorStore& store = space.store();
   EXPECT_EQ(store.size(), space.NumPredicates());
   EXPECT_EQ(store.dim(), 3u);
-  EXPECT_EQ(store.stride() % 16, 0u);
   for (PredicateId p = 0; p < space.NumPredicates(); ++p) {
     EXPECT_EQ(store.RowVec(p), space.Vector(p));
   }

@@ -16,6 +16,7 @@
 #include "kg/snapshot.h"
 #include "match/transformation_library.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace kgsearch {
 namespace {
@@ -261,7 +262,7 @@ TEST(FoldDeltaTest, RandomizedFoldAgreesWithViewReads) {
   std::vector<std::string> names = {"A", "B", "C"};
   for (int round = 0; round < 40; ++round) {
     MutationBatch batch;
-    const std::string fresh = "N" + std::to_string(round);
+    const std::string fresh = StrFormat("N%d", round);
     batch.ops.push_back(Mutation::Add(
         fresh, rng.Bernoulli(0.5) ? "knows" : "lives_in",
         names[rng.UniformIndex(names.size())], "Person"));

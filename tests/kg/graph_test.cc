@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "util/string_util.h"
+
 namespace kgsearch {
 namespace {
 
@@ -81,7 +83,7 @@ TEST(GraphTest, NeighborsSortedDeterministically) {
   KnowledgeGraph g;
   NodeId hub = g.AddNode("hub", "T");
   for (int i = 9; i >= 0; --i) {
-    NodeId n = g.AddNode("n" + std::to_string(i), "T");
+    NodeId n = g.AddNode(StrFormat("n%d", i), "T");
     g.AddEdge(hub, "p", n);
   }
   g.Finalize();

@@ -19,7 +19,9 @@
 // Scales: the smoke test (seconds, 10k nodes) runs whenever the soak label
 // is invoked; the 100k soak is gated behind KGSEARCH_SOAK=1 (nightly CI
 // runs it under TSan) and the 1M-node path behind KGSEARCH_SOAK_1M=1.
-// KGSEARCH_SOAK_SECONDS overrides each duration.
+// KGSEARCH_SOAK_SECONDS overrides each duration. Each run prints the
+// seconds spent generating the kgpack file and loading it (the cold
+// start) beside the traffic tallies and the p50/p95 latency.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -35,6 +37,7 @@
 #include "gen/insight_workload.h"
 #include "gen/scale_kg.h"
 #include "util/cancel.h"
+#include "util/clock.h"
 
 namespace kgsearch {
 namespace {
@@ -88,8 +91,10 @@ void RunSoak(uint64_t num_nodes, double seconds) {
   const ScaleKgSpec spec = ScaleSpecFor(num_nodes);
   const std::string path = testing::TempDir() + "/soak_" +
                            std::to_string(num_nodes) + ".kgpack";
+  StopWatch watch;
   auto report = GenerateScaleKgToFile(spec, path);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const double gen_seconds = watch.ElapsedMillis() / 1000.0;
 
   KgSessionOptions options;
   options.num_threads = 4;
@@ -98,7 +103,9 @@ void RunSoak(uint64_t num_nodes, double seconds) {
   KgSession session(options);
   DatasetLoadOptions load;
   load.graph_path = path;
+  watch.Restart();
   ASSERT_TRUE(session.LoadDataset("scale", load).ok());
+  const double load_seconds = watch.ElapsedMillis() / 1000.0;
   std::remove(path.c_str());
 
   const InsightProfile profile = MakeInsightProfile(spec);
@@ -196,9 +203,10 @@ void RunSoak(uint64_t num_nodes, double seconds) {
   EXPECT_GT(stats.queries_deadline_exceeded, 0u);
 
   std::printf(
-      "soak %llu nodes, %.1fs: issued=%llu ok=%llu rejected=%llu "
-      "cancelled=%llu deadline=%llu other=%llu p50=%.2fms p95=%.2fms\n",
-      (unsigned long long)num_nodes, seconds,
+      "soak %llu nodes, gen=%.3fs load=%.3fs traffic=%.1fs: issued=%llu "
+      "ok=%llu rejected=%llu cancelled=%llu deadline=%llu other=%llu "
+      "p50=%.2fms p95=%.2fms\n",
+      (unsigned long long)num_nodes, gen_seconds, load_seconds, seconds,
       (unsigned long long)tally.issued.load(),
       (unsigned long long)tally.ok.load(),
       (unsigned long long)tally.rejected.load(),

@@ -49,12 +49,9 @@ TEST(TopKHeapTest, TieBrokenByInsertionOrder) {
 TEST(TopKHeapTest, ZeroCapacityRejectsEverythingAndStaysConsistent) {
   TopKHeap<int> heap(0);
   EXPECT_EQ(heap.capacity(), 0u);
-  // A zero-capacity heap is always "full": every score is rejected up front.
-  EXPECT_TRUE(heap.WouldReject(1e9));
   heap.Push(1e9, 42);
   EXPECT_TRUE(heap.empty());
   EXPECT_EQ(heap.size(), 0u);
-  EXPECT_DOUBLE_EQ(heap.MinScore(), 0.0);
   EXPECT_TRUE(heap.TakeSortedDescending().empty());
 }
 
@@ -67,44 +64,12 @@ TEST(TopKHeapTest, DuplicateScoresAtBoundaryEvictStrictlyWorseOnly) {
   heap.Push(2.0, 3);
   // ...but once the heap is all-2.0, further 2.0s lose to incumbents.
   heap.Push(2.0, 4);
-  EXPECT_TRUE(heap.WouldReject(2.0));
-  EXPECT_FALSE(heap.WouldReject(2.0 + 1e-12));
   auto out = heap.TakeSortedDescending();
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].second, 1);
   EXPECT_EQ(out[1].second, 2);
   EXPECT_EQ(out[2].second, 3);
   for (const auto& [score, item] : out) EXPECT_DOUBLE_EQ(score, 2.0);
-}
-
-TEST(TopKHeapTest, MinScoreWithAllDuplicatesAtCapacity) {
-  TopKHeap<int> heap(2);
-  heap.Push(0.5, 1);
-  heap.Push(0.5, 2);
-  EXPECT_DOUBLE_EQ(heap.MinScore(), 0.5);
-  heap.Push(0.5, 3);  // rejected tie; min unchanged
-  EXPECT_DOUBLE_EQ(heap.MinScore(), 0.5);
-  EXPECT_EQ(heap.size(), 2u);
-}
-
-TEST(TopKHeapTest, WouldRejectReflectsThreshold) {
-  TopKHeap<int> heap(2);
-  EXPECT_FALSE(heap.WouldReject(0.1));
-  heap.Push(0.5, 1);
-  EXPECT_FALSE(heap.WouldReject(0.1));  // not yet full
-  heap.Push(0.7, 2);
-  EXPECT_TRUE(heap.WouldReject(0.4));
-  EXPECT_TRUE(heap.WouldReject(0.5));  // ties lose to incumbents
-  EXPECT_FALSE(heap.WouldReject(0.6));
-}
-
-TEST(TopKHeapTest, MinScoreTracksWorstRetained) {
-  TopKHeap<int> heap(2);
-  heap.Push(0.9, 1);
-  heap.Push(0.4, 2);
-  EXPECT_DOUBLE_EQ(heap.MinScore(), 0.4);
-  heap.Push(0.8, 3);
-  EXPECT_DOUBLE_EQ(heap.MinScore(), 0.8);
 }
 
 class TopKHeapSweep : public ::testing::TestWithParam<size_t> {};

@@ -31,11 +31,10 @@ under gcc, where the Clang thread-safety attributes are no-ops):
 
   R5  simd-confinement   No vendor intrinsics (<immintrin.h>/<arm_neon.h>
                          includes, _mm*/__m128/__m256/__m512, NEON v*q_f32
-                         calls or float32x4_t) outside
-                         src/embedding/simd_kernels.{h,cc}, which holds
-                         none: every similarity is the exact scalar dot in
-                         PredicateSpace, so in effect the rule forbids
-                         intrinsics everywhere.
+                         calls or float32x4_t) anywhere: every similarity
+                         is vector_math's exact scalar Dot, so a vector
+                         kernel would be a second arithmetic whose bits
+                         the differential suites do not pin.
 
   R6  delta-confinement  Mutable DeltaSnapshot handles — non-const
                          references/pointers, non-const smart-pointer
@@ -121,7 +120,7 @@ MUTEX_ALLOWED = {Path("src/util/mutex.h")}
 ESCAPE_RE = re.compile(r"\bNO_THREAD_SAFETY_ANALYSIS\b")
 ESCAPE_ALLOWED_PREFIX = Path("src/util")
 
-# R5: intrinsics confined to the kernel library -------------------------------
+# R5: no intrinsics -----------------------------------------------------------
 SIMD_PATTERNS = [
     (re.compile(r"#\s*include\s*<(\w*intrin|arm_neon)\.h>"),
      "vendor intrinsics header"),
@@ -130,10 +129,6 @@ SIMD_PATTERNS = [
     (re.compile(r"\bfloat32x[24]_t\b"), "NEON vector type"),
     (re.compile(r"\bv\w+_f32\s*\("), "NEON intrinsic call"),
 ]
-SIMD_ALLOWED = {
-    Path("src/embedding/simd_kernels.h"),
-    Path("src/embedding/simd_kernels.cc"),
-}
 
 # R6: delta mutation confined to the overlay module ---------------------------
 DELTA_TYPE_RE = re.compile(r"\bDeltaSnapshot\b")
@@ -242,15 +237,13 @@ def check(root: Path) -> list[str]:
                                f"{what} outside util/mutex.h evades the "
                                "thread-safety analysis; use the annotated "
                                "Mutex/MutexLock/CondVar wrappers")
-            # R5 intrinsics confinement
-            if rel not in SIMD_ALLOWED:
-                for pattern, what in SIMD_PATTERNS:
-                    if pattern.search(line):
-                        report(path, lineno, "simd-confinement",
-                               f"{what} outside embedding/simd_kernels.* "
-                               "bypasses the dispatched kernels and their "
-                               "scalar-differential proof; add a kernel "
-                               "there instead")
+            # R5 no intrinsics
+            for pattern, what in SIMD_PATTERNS:
+                if pattern.search(line):
+                    report(path, lineno, "simd-confinement",
+                           f"{what}: similarities use vector_math's exact "
+                           "scalar Dot, which the differential suites pin "
+                           "bit for bit; vendor intrinsics are not allowed")
             # R6 delta-mutation confinement
             if rel not in DELTA_ALLOWED:
                 for match in DELTA_TYPE_RE.finditer(line):

@@ -172,7 +172,7 @@ class CheckInvariantsTest(unittest.TestCase):
 
     # ---- R5 simd-confinement -----------------------------------------------
 
-    def test_catches_intrinsics_outside_kernel_library(self):
+    def test_catches_intrinsics_in_src(self):
         self.write("src/match/fast_scan.cc",
                    "#include <immintrin.h>\n"
                    "float Sum(const float* p) {\n"
@@ -187,17 +187,20 @@ class CheckInvariantsTest(unittest.TestCase):
                    "float32x4_t Z() { return vdupq_n_f32(0.0f); }\n")
         self.assertGreaterEqual(self.rules().count("simd-confinement"), 3)
 
-    def test_allows_intrinsics_inside_kernel_library(self):
+    def test_catches_intrinsics_in_embedding_module(self):
+        # No file is exempt, simd_kernels.* included.
         self.write("src/embedding/simd_kernels.cc",
                    "#include <immintrin.h>\n"
                    "float Dot1(const float* p) {\n"
                    "  __m256 v = _mm256_loadu_ps(p);\n"
                    "  return _mm256_cvtss_f32(v);\n"
                    "}\n")
-        self.write("src/embedding/simd_kernels.h",
-                   "// Backends use _mm256_add_ps via <immintrin.h>.\n"
-                   "void DotBatch(const float* q, const float* b);\n")
-        self.assertEqual(self.violations(), [])
+        self.write("src/embedding/vector_math.h",
+                   "#include <arm_neon.h>\n"
+                   "float32x4_t Zero() { return vdupq_n_f32(0.0f); }\n")
+        flagged = {v.split(":", 1)[0] for v in self.violations()
+                   if "[simd-confinement]" in v}
+        self.assertEqual(len(flagged), 2)
 
     def test_ignores_intrinsic_names_in_comments(self):
         self.write("src/embedding/predicate_space.cc",
