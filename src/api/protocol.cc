@@ -170,34 +170,13 @@ Status CheckProtocolVersion(int64_t version) {
 
 EngineOptions ToEngineOptions(const RequestOptions& options) {
   EngineOptions o;
-  o.k = options.k;
-  o.tau = options.tau;
-  o.n_hat = options.n_hat;
-  o.pivot_strategy = options.pivot_strategy;
-  o.seed = options.seed;
-  o.budget_factor = options.budget_factor;
-  o.max_retry_rounds = options.max_retry_rounds;
-  o.max_expansions = options.max_expansions;
-  o.dedup = options.dedup;
-  o.matches_per_target = options.matches_per_target;
-  o.stop_check_interval = options.stop_check_interval;
+  static_cast<QueryKnobs&>(o) = options;
   return o;
 }
 
 TimeBoundedOptions ToTimeBoundedOptions(const RequestOptions& options) {
   TimeBoundedOptions o;
-  o.k = options.k;
-  o.tau = options.tau;
-  o.n_hat = options.n_hat;
-  o.pivot_strategy = options.pivot_strategy;
-  o.seed = options.seed;
-  o.time_bound_micros = options.time_bound_micros;
-  o.alert_ratio = options.alert_ratio;
-  o.per_match_assembly_micros = options.per_match_assembly_micros;
-  o.match_cap = options.match_cap;
-  o.stop_check_interval = options.stop_check_interval;
-  o.max_expansions = options.max_expansions;
-  o.dedup = options.dedup;
+  static_cast<QueryKnobs&>(o) = options;
   return o;
 }
 

@@ -5,12 +5,12 @@
 //  - The DTOs are plain value types with defaulted equality, so
 //    decode(encode(x)) == x is testable exactly (doubles are written with
 //    shortest-round-trip precision by util/json).
-//  - RequestOptions flattens the per-query knobs of EngineOptions and
-//    TimeBoundedOptions into one struct whose defaults match the engine
-//    defaults bit-for-bit; ToEngineOptions/ToTimeBoundedOptions are the only
-//    mapping, so a default-constructed request behaves exactly like a direct
-//    engine call. Serving-layer knobs (threads, executor) are deliberately
-//    not part of the wire protocol.
+//  - RequestOptions is the engine's own QueryKnobs (core/engine.h), so the
+//    wire carries exactly the per-query knobs with the engine's defaults,
+//    and a default-constructed request behaves exactly like a direct engine
+//    call. QueryRequest::mode picks the stop policy. The per-call context
+//    of QueryOptions (threads, executor, deadline, cancel token, pinned
+//    view) is deliberately not part of the wire protocol.
 //  - Decoders are total: any malformed document returns
 //    kParseError/kInvalidArgument, never an abort.
 #ifndef KGSEARCH_API_PROTOCOL_H_
@@ -38,12 +38,7 @@ inline constexpr int64_t kApiProtocolVersion = 1;
 /// with a large explicit QueryGraph is a few KiB.
 inline constexpr size_t kMaxWireRequestBytes = size_t{1} << 20;
 
-/// Which engine answers the request.
-enum class QueryMode {
-  kSgq,  ///< optimal semantic-guided query (Problem 1)
-  kTbq,  ///< time-bounded approximate query (Problem 2)
-};
-
+/// Wire names of the query modes (core/engine.h): "sgq" and "tbq".
 const char* QueryModeName(QueryMode mode);
 Result<QueryMode> ParseQueryModeName(std::string_view name);
 
@@ -51,35 +46,12 @@ Result<QueryMode> ParseQueryModeName(std::string_view name);
 /// shared by the JSON decoders and the in-process DTO entry points.
 Status CheckProtocolVersion(int64_t version);
 
-/// Flattened per-query knobs covering both modes (TBQ-only fields are
-/// ignored in SGQ mode and vice versa). Defaults equal the engine defaults.
-struct RequestOptions {
-  // Shared.
-  size_t k = 10;
-  double tau = 0.8;
-  size_t n_hat = 4;
-  PivotStrategy pivot_strategy = PivotStrategy::kMinCost;
-  uint64_t seed = 42;
-  DedupMode dedup = DedupMode::kPaperNodeVisited;
-  uint64_t max_expansions = 4'000'000;
-  // SGQ only.
-  size_t budget_factor = 3;
-  size_t max_retry_rounds = 2;
-  size_t matches_per_target = 1;
-  // TBQ only.
-  int64_t time_bound_micros = 100'000;
-  double alert_ratio = 0.8;
-  double per_match_assembly_micros = -1.0;
-  size_t match_cap = 0;
-  // Both modes: anytime-estimator poll cadence in TBQ, and the
-  // deadline/cancellation poll cadence everywhere.
-  size_t stop_check_interval = 64;
+/// The per-query knobs of a request, declared once in core/engine.h.
+using RequestOptions = QueryKnobs;
 
-  bool operator==(const RequestOptions&) const = default;
-};
-
-/// The engine options equivalent to `options` (executor/threads left at
-/// their defaults; the serving layer injects its own executor).
+/// The SGQ and TBQ presets of QueryOptions carrying `options`
+/// (executor/threads left at their defaults; the serving layer injects its
+/// own executor).
 EngineOptions ToEngineOptions(const RequestOptions& options);
 TimeBoundedOptions ToTimeBoundedOptions(const RequestOptions& options);
 

@@ -125,21 +125,23 @@ Status KgSession::RegisterDataset(const std::string& name,
                                   std::unique_ptr<KnowledgeGraph> graph,
                                   std::unique_ptr<PredicateSpace> space,
                                   TransformationLibrary library) {
-  if (name.empty()) {
-    return Status::InvalidArgument("dataset name must not be empty");
-  }
-  Result<std::unique_ptr<Dataset>> dataset = BuildDataset(
-      std::move(graph), std::move(space),
-      std::make_shared<TransformationLibrary>(std::move(library)));
-  KG_RETURN_NOT_OK(dataset.status());
-  return InstallDataset(name, std::move(dataset).ValueOrDie(),
-                        /*replace=*/false);
+  return BuildAndInstall(name, std::move(graph), std::move(space),
+                         std::move(library), /*replace=*/false);
 }
 
 Status KgSession::ReplaceDataset(const std::string& name,
                                  std::unique_ptr<KnowledgeGraph> graph,
                                  std::unique_ptr<PredicateSpace> space,
                                  TransformationLibrary library) {
+  return BuildAndInstall(name, std::move(graph), std::move(space),
+                         std::move(library), /*replace=*/true);
+}
+
+Status KgSession::BuildAndInstall(const std::string& name,
+                                  std::unique_ptr<KnowledgeGraph> graph,
+                                  std::unique_ptr<PredicateSpace> space,
+                                  TransformationLibrary library,
+                                  bool replace) {
   if (name.empty()) {
     return Status::InvalidArgument("dataset name must not be empty");
   }
@@ -147,8 +149,7 @@ Status KgSession::ReplaceDataset(const std::string& name,
       std::move(graph), std::move(space),
       std::make_shared<TransformationLibrary>(std::move(library)));
   KG_RETURN_NOT_OK(dataset.status());
-  return InstallDataset(name, std::move(dataset).ValueOrDie(),
-                        /*replace=*/true);
+  return InstallDataset(name, std::move(dataset).ValueOrDie(), replace);
 }
 
 Status KgSession::LoadDataset(const std::string& name,
@@ -178,13 +179,9 @@ Status KgSession::LoadDataset(const std::string& name,
     Result<DatasetSnapshot> snapshot = DecodeSnapshot(text.ValueOrDie());
     KG_RETURN_NOT_OK(snapshot.status());
     DatasetSnapshot& parts = snapshot.ValueOrDie();
-    return options.replace_existing
-               ? ReplaceDataset(name, std::move(parts.graph),
-                                std::move(parts.space),
-                                std::move(parts.library))
-               : RegisterDataset(name, std::move(parts.graph),
-                                 std::move(parts.space),
-                                 std::move(parts.library));
+    return BuildAndInstall(name, std::move(parts.graph),
+                           std::move(parts.space), std::move(parts.library),
+                           options.replace_existing);
   }
 
   Result<std::unique_ptr<KnowledgeGraph>> graph =
@@ -219,11 +216,9 @@ Status KgSession::LoadDataset(const std::string& name,
     library = std::move(parsed).ValueOrDie();
   }
 
-  return options.replace_existing
-             ? ReplaceDataset(name, std::move(graph).ValueOrDie(),
-                              std::move(space), std::move(library))
-             : RegisterDataset(name, std::move(graph).ValueOrDie(),
-                               std::move(space), std::move(library));
+  return BuildAndInstall(name, std::move(graph).ValueOrDie(),
+                         std::move(space), std::move(library),
+                         options.replace_existing);
 }
 
 Status KgSession::SaveDataset(const std::string& name,
@@ -343,18 +338,16 @@ Result<QueryResponse> KgSession::Execute(const QueryRequest& request,
   // a KG_CHECK inside the engine.
   KG_RETURN_NOT_OK(query->Validate());
 
-  // The mode only picks the options type; both run the same pipeline.
-  auto run = [&](auto options) {
-    options.deadline_micros = deadline_micros;
-    options.cancel = cancel;
-    options.view = &view;
-    return pre_admitted ? dataset->service->QueryAdmitted(*query, options)
-                        : dataset->service->Query(*query, options,
-                                                  EffectivePriority(request));
-  };
-  Result<QueryResult> result = request.mode == QueryMode::kSgq
-                                   ? run(ToEngineOptions(request.options))
-                                   : run(ToTimeBoundedOptions(request.options));
+  QueryOptions options;
+  static_cast<QueryKnobs&>(options) = request.options;
+  options.mode = request.mode;
+  options.deadline_micros = deadline_micros;
+  options.cancel = cancel;
+  options.view = &view;
+  Result<QueryResult> result =
+      pre_admitted ? dataset->service->QueryAdmitted(*query, options)
+                   : dataset->service->Query(*query, options,
+                                             EffectivePriority(request));
   KG_RETURN_NOT_OK(result.status());
   const QueryResult& r = result.ValueOrDie();
   FillAnswers(view, r.matches, &response);
@@ -543,14 +536,12 @@ Status KgSession::CompactDataset(const std::string& name) {
   }
   // FoldDelta preserves predicate ids, so the outgoing generation's space
   // and library keep their meaning — the new generation SHARES them.
-  auto fresh = std::make_unique<Dataset>();
-  fresh->graph = std::move(folded).ValueOrDie();
-  fresh->space = dataset->space;
-  fresh->library = dataset->library;
-  fresh->overlay = std::make_unique<DeltaOverlay>(fresh->graph.get());
-  fresh->service = std::make_unique<QueryService>(
-      fresh->graph.get(), fresh->space.get(), fresh->library.get(),
-      ServiceOptions(), clock_);
+  Result<std::unique_ptr<Dataset>> fresh = BuildDataset(
+      std::move(folded).ValueOrDie(), dataset->space, dataset->library);
+  if (!fresh.ok()) {
+    dataset->overlay->Reopen();  // keep serving the old state
+    return fresh.status();
+  }
   // Release our own lease BEFORE the install drains — holding it across
   // in_use.Wait() would deadlock on ourselves. `expected` pins the swap to
   // the entry we folded: if a racing ReplaceDataset got there first our
@@ -559,7 +550,8 @@ Status KgSession::CompactDataset(const std::string& name) {
   lease.Release();
   // kFailedPrecondition = lost the race to a concurrent replacement; the
   // winner's dataset is serving and our fold is simply discarded.
-  return InstallDataset(name, std::move(fresh), /*replace=*/true, expected);
+  return InstallDataset(name, std::move(fresh).ValueOrDie(), /*replace=*/true,
+                        expected);
 }
 
 Result<uint64_t> KgSession::DatasetEpoch(const std::string& name) const {

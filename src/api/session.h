@@ -317,12 +317,19 @@ class KgSession {
       EXCLUDES(mutex_);
 
   /// Builds a ready-to-serve Dataset (validations + overlay + service)
-  /// from its parts. Shared by Register/Replace; compaction assembles its
-  /// own (it reuses space/library instead of validating fresh ones).
+  /// from its parts. Every generation of every dataset is built here;
+  /// compaction passes the outgoing generation's space and library.
   Result<std::unique_ptr<Dataset>> BuildDataset(
       std::unique_ptr<KnowledgeGraph> graph,
       std::shared_ptr<PredicateSpace> space,
       std::shared_ptr<TransformationLibrary> library);
+
+  /// RegisterDataset (`replace` false) and ReplaceDataset (`replace`
+  /// true): BuildDataset, then InstallDataset.
+  Status BuildAndInstall(const std::string& name,
+                         std::unique_ptr<KnowledgeGraph> graph,
+                         std::unique_ptr<PredicateSpace> space,
+                         TransformationLibrary library, bool replace);
 
   /// The one registry write path. Installs `dataset` under `name`; an
   /// existing entry either rejects the install (kAlreadyExists, `replace`

@@ -2,31 +2,16 @@
 
 namespace kgsearch {
 
-SgqMethod::SgqMethod(MethodContext context, EngineOptions options)
-    : engine_(context.graph, context.space, context.library),
+SgqMethod::SgqMethod(MethodContext context, QueryOptions options,
+                     std::string label)
+    : label_(std::move(label)),
+      engine_(context.graph, context.space, context.library),
       options_(options) {}
 
 Result<std::vector<NodeId>> SgqMethod::QueryTopK(const QueryGraph& query,
                                                  int answer_node,
                                                  size_t k) const {
-  EngineOptions options = options_;
-  options.k = k;
-  Result<QueryResult> r = engine_.Query(query, options);
-  if (!r.ok()) return r.status();
-  const QueryResult& result = r.ValueOrDie();
-  return ExtractAnswers(result.matches, result.decomposition, answer_node);
-}
-
-TbqMethod::TbqMethod(std::string label, MethodContext context,
-                     TimeBoundedOptions options)
-    : label_(std::move(label)),
-      engine_(context.graph, context.space, context.library),
-      options_(options) {}
-
-Result<std::vector<NodeId>> TbqMethod::QueryTopK(const QueryGraph& query,
-                                                 int answer_node,
-                                                 size_t k) const {
-  TimeBoundedOptions options = options_;
+  QueryOptions options = options_;
   options.k = k;
   Result<QueryResult> r = engine_.Query(query, options);
   if (!r.ok()) return r.status();

@@ -89,7 +89,7 @@ namespace {
 // matches and some search was cut off by the budget.
 class OptimalPolicy final : public StopPolicy {
  public:
-  explicit OptimalPolicy(const EngineOptions& options)
+  explicit OptimalPolicy(const QueryOptions& options)
       : options_(options),
         budget_(std::max<size_t>(options.budget_factor * options.k, 16)) {}
 
@@ -115,7 +115,7 @@ class OptimalPolicy final : public StopPolicy {
   }
 
  private:
-  const EngineOptions& options_;
+  const QueryOptions& options_;
   size_t budget_;
   size_t retries_ = 0;
 };
@@ -129,7 +129,7 @@ class OptimalPolicy final : public StopPolicy {
 // is only more conservative.
 class AnytimePolicy final : public StopPolicy {
  public:
-  AnytimePolicy(const TimeBoundedOptions& options, size_t num_subqueries,
+  AnytimePolicy(const QueryOptions& options, size_t num_subqueries,
                 const Clock* clock)
       : options_(options), clock_(clock), match_counts_(num_subqueries) {}
 
@@ -174,7 +174,7 @@ class AnytimePolicy final : public StopPolicy {
     return false;
   }
 
-  const TimeBoundedOptions& options_;
+  const QueryOptions& options_;
   const Clock* clock_;
   double t_micros_ = 0.0;
   int64_t start_micros_ = 0;
@@ -231,14 +231,7 @@ Result<Decomposition> SgqEngine::Decompose(const QueryGraph& query,
 }
 
 Result<QueryResult> SgqEngine::Query(const QueryGraph& query,
-                                     const EngineOptions& options) const {
-  Result<Decomposition> decomposition = Decompose(query, options);
-  if (!decomposition.ok()) return decomposition.status();
-  return QueryDecomposed(query, decomposition.ValueOrDie(), options);
-}
-
-Result<QueryResult> SgqEngine::Query(const QueryGraph& query,
-                                     const TimeBoundedOptions& options) const {
+                                     const QueryOptions& options) const {
   Result<Decomposition> decomposition = Decompose(query, options);
   if (!decomposition.ok()) return decomposition.status();
   return QueryDecomposed(query, decomposition.ValueOrDie(), options);
@@ -246,14 +239,11 @@ Result<QueryResult> SgqEngine::Query(const QueryGraph& query,
 
 Result<QueryResult> SgqEngine::QueryDecomposed(
     const QueryGraph& query, const Decomposition& decomposition,
-    const EngineOptions& options) const {
-  OptimalPolicy policy(options);
-  return Run(query, decomposition, options, &policy);
-}
-
-Result<QueryResult> SgqEngine::QueryDecomposed(
-    const QueryGraph& query, const Decomposition& decomposition,
-    const TimeBoundedOptions& options) const {
+    const QueryOptions& options) const {
+  if (options.mode == QueryMode::kSgq) {
+    OptimalPolicy policy(options);
+    return Run(query, decomposition, options, &policy);
+  }
   if (options.time_bound_micros <= 0) {
     return Status::InvalidArgument("time bound must be positive");
   }

@@ -117,7 +117,21 @@ Result<std::unique_ptr<PredicateSpace>> ReadSpaceSection(BinaryReader* in) {
     // into the flat block. Verbatim install — vectors were normalized when
     // the saved space was built, and re-normalizing would perturb the
     // float bits.
-    if (p == 0) store = VectorStore(count, row.size());
+    if (p == 0) {
+      // Every later row costs its two u64 length prefixes plus its floats,
+      // so a count the bytes left cannot hold is refused before the store
+      // is sized from it.
+      const uint64_t row_bytes =
+          2 * sizeof(uint64_t) + row.size() * sizeof(float);
+      if (count - 1 > in->remaining() / row_bytes) {
+        return Status::ParseError(StrFormat(
+            "kgpack space section declares %llu predicate rows of %zu "
+            "floats, more than its %zu bytes left can hold",
+            static_cast<unsigned long long>(count), row.size(),
+            in->remaining()));
+      }
+      store = VectorStore(count, row.size());
+    }
     if (row.size() != store.dim()) {
       return Status::ParseError(
           "predicate vector dimension mismatch in kgpack space section");

@@ -1,6 +1,5 @@
 #include "service/query_service.h"
 
-#include <type_traits>
 #include <utility>
 
 #include "util/cancel.h"
@@ -121,12 +120,22 @@ void QueryService::ClassifyOutcome(const Status& status) {
   }
 }
 
-template <typename Options>
-Result<QueryResult> QueryService::Execute(const QueryGraph& query,
-                                          Options options) {
+Result<QueryResult> QueryService::Query(const QueryGraph& query,
+                                        QueryOptions options,
+                                        RequestPriority priority) {
+  if (!admission_.TryAdmit(/*async=*/false, priority)) {
+    return admission_.OverCapacityStatus(/*async=*/false, "service");
+  }
+  AdmissionSlot slot(&admission_);  // released even if execution throws
+  return QueryAdmitted(query, std::move(options));
+}
+
+Result<QueryResult> QueryService::QueryAdmitted(const QueryGraph& query,
+                                                QueryOptions options) {
   options.executor = executor();
-  constexpr bool kTimeBounded = std::is_same_v<Options, TimeBoundedOptions>;
-  FlightTracker tracker(this, kTimeBounded ? &tbq_queries_ : &sgq_queries_);
+  FlightTracker tracker(this, options.mode == QueryMode::kTbq
+                                  ? &tbq_queries_
+                                  : &sgq_queries_);
   // Fail before paying for decomposition when the request arrived already
   // expired or revoked (an async task may have waited out its own budget
   // in the queue). The engine re-polls the same policy between expansions.
@@ -150,39 +159,6 @@ Result<QueryResult> QueryService::Execute(const QueryGraph& query,
   tracker.Finish(result.ok());
   if (!result.ok()) ClassifyOutcome(result.status());
   return result;
-}
-
-template <typename Options>
-Result<QueryResult> QueryService::AdmitAndExecute(const QueryGraph& query,
-                                                  Options options,
-                                                  RequestPriority priority) {
-  if (!admission_.TryAdmit(/*async=*/false, priority)) {
-    return admission_.OverCapacityStatus(/*async=*/false, "service");
-  }
-  AdmissionSlot slot(&admission_);  // released even if execution throws
-  return Execute(query, std::move(options));
-}
-
-Result<QueryResult> QueryService::Query(const QueryGraph& query,
-                                        EngineOptions options,
-                                        RequestPriority priority) {
-  return AdmitAndExecute(query, std::move(options), priority);
-}
-
-Result<QueryResult> QueryService::Query(const QueryGraph& query,
-                                        TimeBoundedOptions options,
-                                        RequestPriority priority) {
-  return AdmitAndExecute(query, std::move(options), priority);
-}
-
-Result<QueryResult> QueryService::QueryAdmitted(const QueryGraph& query,
-                                                EngineOptions options) {
-  return Execute(query, std::move(options));
-}
-
-Result<QueryResult> QueryService::QueryAdmitted(const QueryGraph& query,
-                                                TimeBoundedOptions options) {
-  return Execute(query, std::move(options));
 }
 
 ServiceStatsSnapshot QueryService::Stats() const {

@@ -1,10 +1,11 @@
 // QueryService: concurrent serving of SGQ and TBQ queries over one shared
 // process-wide executor.
 //
-// One SgqEngine runs both modes (SGQ and TBQ are two stop policies of the
-// same query pipeline, see core/engine.h). The engine is stateless per
-// query (const Query methods over immutable graph/space/library), so the
-// serving layer's job is resource multiplexing and memoization:
+// One SgqEngine runs both modes: SGQ and TBQ are two stop policies of the
+// same query pipeline (core/engine.h), and each call's QueryOptions::mode
+// picks one, so the service has one query path for both. The engine is
+// stateless per query (const methods over immutable graph/space/library),
+// so the serving layer's job is resource multiplexing and memoization:
 //  - one ThreadPool shared by every in-flight query; sub-query A* searches
 //    run as caller-participating batches (RunOnPool), so a pool saturated
 //    with queries still makes progress on each query's own sub-queries;
@@ -54,8 +55,7 @@
 
 namespace kgsearch {
 
-/// Serving-layer knobs (per-query knobs stay in EngineOptions /
-/// TimeBoundedOptions).
+/// Serving-layer knobs (per-query knobs stay in QueryOptions).
 struct QueryServiceOptions {
   /// Worker threads in the shared pool; 0 = std::thread::hardware_concurrency
   /// (minimum 2 so sub-query searches overlap even on tiny machines).
@@ -98,20 +98,16 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Synchronous query on the shared executor: optimal (EngineOptions) or
-  /// time-bounded (TimeBoundedOptions). `options.executor` and
-  /// `options.threads` are overridden by the service's pool. With
-  /// admission control on, over-limit requests return kResourceExhausted
-  /// without executing; an expired `options.deadline_micros` or cancelled
-  /// `options.cancel` returns kDeadlineExceeded / kCancelled.
-  Result<QueryResult> Query(const QueryGraph& query, EngineOptions options,
+  /// Synchronous query on the shared executor, optimal or time-bounded as
+  /// `options.mode` says. `options.executor` and `options.threads` are
+  /// overridden by the service's pool. With admission control on,
+  /// over-limit requests return kResourceExhausted without executing; an
+  /// expired `options.deadline_micros` or cancelled `options.cancel`
+  /// returns kDeadlineExceeded / kCancelled.
+  Result<QueryResult> Query(const QueryGraph& query, QueryOptions options,
                             RequestPriority priority =
                                 RequestPriority::kNormal);
-  Result<QueryResult> Query(const QueryGraph& query,
-                            TimeBoundedOptions options,
-                            RequestPriority priority =
-                                RequestPriority::kNormal);
-  /// Compat spelling of the time-bounded Query, kept for perfbench/.
+  /// Compat spelling of a time-bounded Query, kept for perfbench/.
   Result<QueryResult> QueryTimeBounded(const QueryGraph& query,
                                        TimeBoundedOptions options) {
     return Query(query, std::move(options));
@@ -121,12 +117,11 @@ class QueryService {
   /// mutable_admission() (KgSession::Submit admits async requests at
   /// submission time so its queue stays bounded, then runs them here
   /// without a second gate). The caller owes exactly one Release() — use
-  /// AdmissionSlot. Deadline/cancel handling and all counters behave
-  /// exactly as in Query.
+  /// AdmissionSlot. Every query lands here: deadline fast path,
+  /// decomposition cache, engine call, outcome classification, and the
+  /// counters of `options.mode`.
   Result<QueryResult> QueryAdmitted(const QueryGraph& query,
-                                    EngineOptions options);
-  Result<QueryResult> QueryAdmitted(const QueryGraph& query,
-                                    TimeBoundedOptions options);
+                                    QueryOptions options);
 
   /// Point-in-time counter snapshot.
   [[nodiscard]] ServiceStatsSnapshot Stats() const;
@@ -149,18 +144,6 @@ class QueryService {
   /// RAII guard updating the in-flight gauge, latency histogram, and
   /// success/failure counters around one query execution.
   class FlightTracker;
-
-  /// Admission at the synchronous entry points, then Execute.
-  template <typename Options>
-  Result<QueryResult> AdmitAndExecute(const QueryGraph& query,
-                                      Options options,
-                                      RequestPriority priority);
-
-  /// Execution after admission: deadline fast path, decomposition cache,
-  /// engine call, outcome classification. Every entry point lands here;
-  /// the admission slot is released by the caller.
-  template <typename Options>
-  Result<QueryResult> Execute(const QueryGraph& query, Options options);
 
   /// Bumps the cancelled/deadline-exceeded counters for a finished query.
   void ClassifyOutcome(const Status& status);

@@ -45,7 +45,7 @@ class CancelToken {
 };
 
 /// Converts a caller-relative time budget in milliseconds into an absolute
-/// deadline on `clock` (the representation EngineOptions carries, so queue
+/// deadline on `clock` (the representation QueryOptions carries, so queue
 /// wait counts against the budget). 0 means "no deadline" and stays 0;
 /// negative budgets are the caller's validation problem and also map to 0.
 /// Budgets too large to represent saturate to the far future instead of

@@ -98,6 +98,21 @@ TEST(RequestOptionsTest, DefaultsMatchEngineDefaults) {
   EXPECT_EQ(tbq.dedup, tbq_defaults.dedup);
 }
 
+// Every knob of MakeFullRequest differs from its default, so a conversion
+// that dropped one would fail the comparison.
+TEST(RequestOptionsTest, ConversionsCarryEveryKnobAndSetTheMode) {
+  const RequestOptions options = MakeFullRequest().options;
+  ASSERT_FALSE(options == RequestOptions{});
+
+  const EngineOptions engine = ToEngineOptions(options);
+  EXPECT_EQ(engine.mode, QueryMode::kSgq);
+  EXPECT_TRUE(static_cast<const QueryKnobs&>(engine) == options);
+
+  const TimeBoundedOptions tbq = ToTimeBoundedOptions(options);
+  EXPECT_EQ(tbq.mode, QueryMode::kTbq);
+  EXPECT_TRUE(static_cast<const QueryKnobs&>(tbq) == options);
+}
+
 TEST(QueryGraphCodecTest, RoundTrip) {
   const QueryGraph query = MakeChainQuery();
   auto decoded = DecodeQueryGraph(EncodeQueryGraph(query));

@@ -251,6 +251,44 @@ TEST(SnapshotTest, CorruptedChecksumFieldItselfIsCaught) {
   EXPECT_NE(decoded.status().message().find("checksum"), std::string::npos);
 }
 
+// A space section may not declare more rows than its bytes can hold. The
+// probe keeps the graph and library sections and rewrites the space section
+// to declare 7,502 rows of which only the first (15,000 floats) is present:
+// a 60 KB file whose declared store is ~450 MB. The decoder must refuse it
+// by the row count, before sizing the store.
+TEST(SnapshotTest, SpaceSectionDeclaringMoreRowsThanItsBytesIsRejected) {
+  const std::string valid = Encode(MakeWorld());
+  const size_t header = 20;  // magic, version, payload length, CRC
+  BinaryReader in(std::string_view(valid).substr(header));
+  size_t space_start = 0;
+  for (int section = 0; section < 3; ++section) {  // u32 id + u64 length
+    space_start = in.position();
+    uint32_t id = 0;
+    std::string_view body;
+    ASSERT_TRUE(in.ReadU32(&id).ok() && in.ReadStringView(&body).ok());
+  }
+  BinaryWriter space;
+  space.WriteU64(7'502);
+  space.WriteString("assembly");
+  space.WriteVector(std::vector<float>(15'000, 0.5f));
+  BinaryWriter payload;
+  payload.WriteRaw(valid.data() + header, space_start + sizeof(uint32_t));
+  payload.WriteString(space.buffer());
+  BinaryWriter file;
+  file.WriteRaw(valid.data(), 8);  // magic + version
+  file.WriteU64(payload.size());
+  file.WriteU32(Crc32(payload.buffer()));
+  file.WriteRaw(payload.buffer().data(), payload.size());
+  ASSERT_LT(file.size(), 61'000u);
+
+  Result<DatasetSnapshot> decoded = DecodeSnapshot(file.buffer());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
+  EXPECT_NE(decoded.status().message().find("7502 predicate rows"),
+            std::string::npos)
+      << decoded.status().ToString();
+}
+
 // A structurally plausible FlatParts whose adjacency contradicts its triple
 // set — right degrees, sorted lists, in-range ids, but the two forward
 // entries swap predicates — must be rejected, not installed: the CSR is

@@ -6,6 +6,7 @@
 
 #include "gen/car_domain.h"
 #include "testing/q117_session.h"
+#include "util/clock.h"
 
 namespace kgsearch {
 namespace {
@@ -115,6 +116,42 @@ TEST_F(QueryServiceTest, TimeBoundedThroughServiceConvergesUnderGenerousBound) {
   ASSERT_TRUE(async_tbq.ok());
   EXPECT_EQ(testing_fixture::AnswerIds(async_tbq.ValueOrDie()),
             tbq.ValueOrDie().AnswerIds());
+}
+
+// The mode is a field: a plain QueryOptions with mode kTbq runs the anytime
+// policy through the service and counts as TBQ. Under a frozen clock the
+// estimate is a pure match budget on Q117's one sub-query, so the service
+// must answer exactly like the engine given the TimeBoundedOptions preset.
+TEST_F(QueryServiceTest, PlainOptionsWithTbqModeRunTheAnytimePolicy) {
+  ManualClock clock(0);
+  QueryServiceOptions service_options;
+  service_options.num_threads = 2;
+  QueryService service(dataset_->graph.get(), dataset_->space.get(),
+                       &dataset_->library, service_options, &clock);
+  SgqEngine direct(dataset_->graph.get(), dataset_->space.get(),
+                   &dataset_->library, &clock);
+
+  QueryOptions options;
+  options.mode = QueryMode::kTbq;
+  options.k = 5;
+  options.time_bound_micros = 10;  // alert at 8: stops after 8 matches
+  options.per_match_assembly_micros = 1.0;
+  options.stop_check_interval = 1;
+  TimeBoundedOptions preset;
+  static_cast<QueryKnobs&>(preset) = options;
+  preset.threads = 1;
+
+  const QueryGraph q = MakeQ117Variant(4);
+  auto via_service = service.Query(q, options);
+  auto via_engine = direct.Query(q, preset);
+  ASSERT_TRUE(via_service.ok()) << via_service.status().ToString();
+  ASSERT_TRUE(via_engine.ok()) << via_engine.status().ToString();
+  EXPECT_TRUE(via_service.ValueOrDie().stopped_by_time);
+  ExpectIdenticalResults(via_service.ValueOrDie(), via_engine.ValueOrDie());
+
+  const ServiceStatsSnapshot stats = service.Stats();
+  EXPECT_EQ(stats.tbq_queries, 1u);
+  EXPECT_EQ(stats.sgq_queries, 0u);
 }
 
 TEST_F(QueryServiceTest, StatsTrackTrafficAndLatency) {
