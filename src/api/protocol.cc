@@ -325,7 +325,7 @@ std::string EncodeQueryRequestJson(const QueryRequest& request) {
   return EncodeQueryRequest(request).Dump();
 }
 
-Result<QueryRequest> DecodeQueryRequestJson(std::string_view text) {
+Result<JsonValue> ParseWireRequest(std::string_view text) {
   // Reject oversized documents before the parser touches them: the cap
   // bounds parse work and allocations against hostile senders, and real
   // requests are orders of magnitude smaller.
@@ -335,7 +335,11 @@ Result<QueryRequest> DecodeQueryRequestJson(std::string_view text) {
                   "limit",
                   text.size(), kMaxWireRequestBytes));
   }
-  Result<JsonValue> json = JsonValue::Parse(text);
+  return JsonValue::Parse(text);
+}
+
+Result<QueryRequest> DecodeQueryRequestJson(std::string_view text) {
+  Result<JsonValue> json = ParseWireRequest(text);
   KG_RETURN_NOT_OK(json.status());
   return DecodeQueryRequest(json.ValueOrDie());
 }
@@ -555,13 +559,7 @@ std::string EncodeIngestRequestJson(const IngestRequest& request) {
 }
 
 Result<IngestRequest> DecodeIngestRequestJson(std::string_view text) {
-  if (text.size() > kMaxWireRequestBytes) {
-    return Status::InvalidArgument(
-        StrFormat("request document of %zu bytes exceeds the %zu-byte wire "
-                  "limit",
-                  text.size(), kMaxWireRequestBytes));
-  }
-  Result<JsonValue> json = JsonValue::Parse(text);
+  Result<JsonValue> json = ParseWireRequest(text);
   KG_RETURN_NOT_OK(json.status());
   return DecodeIngestRequest(json.ValueOrDie());
 }

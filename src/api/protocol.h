@@ -31,12 +31,17 @@ namespace kgsearch {
 /// Wire protocol version; encoded as "v" and checked by every decoder.
 inline constexpr int64_t kApiProtocolVersion = 1;
 
-/// Hard cap on one wire request document (1 MiB). DecodeQueryRequestJson
+/// Hard cap on one wire request document (1 MiB). ParseWireRequest
 /// rejects longer text before parsing, bounding the parser's work and
 /// allocations against hostile senders; the TCP server additionally
 /// enforces it as its default line-length limit. Generous: a real request
 /// with a large explicit QueryGraph is a few KiB.
 inline constexpr size_t kMaxWireRequestBytes = size_t{1} << 20;
+
+/// Parses one wire request document after checking it against
+/// kMaxWireRequestBytes (kInvalidArgument when longer). The JSON request
+/// decoders and the TCP server read every request document through it.
+Result<JsonValue> ParseWireRequest(std::string_view text);
 
 /// Wire names of the query modes (core/engine.h): "sgq" and "tbq".
 const char* QueryModeName(QueryMode mode);

@@ -1,7 +1,5 @@
 #include "api/session.h"
 
-#include <chrono>
-#include <thread>
 #include <utility>
 
 #include "api/query_text.h"
@@ -88,35 +86,28 @@ Result<std::unique_ptr<KgSession::Dataset>> KgSession::BuildDataset(
 
 Status KgSession::InstallDataset(const std::string& name,
                                  std::unique_ptr<Dataset> dataset,
-                                 bool replace, const Dataset* expected) {
-  std::unique_ptr<Dataset> old;
+                                 bool replace) {
+  FifoMutex* writer = nullptr;
   {
     MutexLock lock(&mutex_);
-    auto it = datasets_.find(name);
-    if (it == datasets_.end()) {
-      if (expected != nullptr) {
-        return Status::FailedPrecondition(
-            "dataset replaced during compaction: " + name);
-      }
+    if (datasets_.find(name) == datasets_.end()) {
+      writers_.try_emplace(name);
       datasets_.emplace(name, std::move(dataset));
       return Status::OK();
     }
     if (!replace) {
       return Status::AlreadyExists("dataset already registered: " + name);
     }
-    if (expected != nullptr && it->second.get() != expected) {
-      return Status::FailedPrecondition(
-          "dataset replaced during compaction: " + name);
-    }
-    old = std::move(it->second);
-    it->second = std::move(dataset);
+    writer = &writers_.at(name);
   }
-  // Swap done: new arrivals resolve the fresh dataset. Retire the old
-  // overlay first so a writer mid-Ingest fails fast (and retries against
-  // the new entry) instead of committing into a graph nobody can reach,
-  // then drain the leases. Queries never fail from the swap — lease
-  // holders finish on the old graph before it is destroyed here.
-  old->overlay->Retire();
+  std::unique_ptr<Dataset> old;
+  {
+    FifoMutexLock write(writer);
+    MutexLock lock(&mutex_);
+    old = std::exchange(datasets_[name], std::move(dataset));
+  }
+  // Queries never fail from the swap: lease holders finish on the old graph
+  // before it is destroyed here.
   old->in_use.Wait();
   return Status::OK();
 }
@@ -241,6 +232,12 @@ Status KgSession::SaveDataset(const std::string& name,
   }
   return SaveSnapshot(path, *dataset->graph, *dataset->space,
                       *dataset->library);
+}
+
+FifoMutex* KgSession::WriterLock(const std::string& name) {
+  MutexLock lock(&mutex_);
+  auto it = writers_.find(name);
+  return it == writers_.end() ? nullptr : &it->second;
 }
 
 KgSession::DatasetLease KgSession::AcquireDataset(
@@ -463,95 +460,69 @@ Result<IngestResponse> KgSession::Ingest(const IngestRequest& request) {
                                    op.head_type, op.tail_type));
   }
 
-  // Retry loop: a commit that loses to a concurrent compaction/replacement
-  // (retired overlay → kFailedPrecondition) is transparently re-applied
-  // against the freshly installed registry entry. Bounded two ways — a
-  // wall-clock give-up and an iteration cap (a frozen test clock must not
-  // spin forever).
-  const int64_t give_up_micros = clock_->NowMicros() + 2'000'000;
-  const Dataset* last_retired = nullptr;
-  for (int attempt = 0; attempt < 2000; ++attempt) {
-    DatasetLease lease = AcquireDataset(request.dataset);
-    Dataset* dataset = lease.get();
-    if (dataset == nullptr) {
-      return Status::NotFound("unknown dataset: \"" + request.dataset +
-                              "\"");
-    }
-    // Adds must use predicates the BASE graph already interned: the
-    // predicate space has embedding rows only for base predicate ids, so a
-    // new predicate would search with undefined semantics. (The overlay
-    // itself allows them — this policy belongs to the serving layer.)
-    for (const IngestOpDto& op : request.ops) {
-      if (!op.retract &&
-          dataset->graph->FindPredicate(op.predicate) == kInvalidSymbol) {
-        return Status::InvalidArgument(
-            "unknown predicate \"" + op.predicate +
-            "\": the dataset's predicate space has no embedding for it");
-      }
-    }
-    Result<uint64_t> epoch = dataset->overlay->Commit(batch);
-    if (epoch.ok()) {
-      IngestResponse response;
-      response.dataset = request.dataset;
-      response.epoch = epoch.ValueOrDie();
-      response.ops_applied = request.ops.size();
-      return response;
-    }
-    if (epoch.status().code() != StatusCode::kFailedPrecondition) {
-      return epoch.status();
-    }
-    if (clock_->NowMicros() >= give_up_micros) break;
-    if (dataset == last_retired) {
-      // The retired entry is still installed (the replacer is mid-drain);
-      // yield briefly instead of hammering the registry lock.
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    last_retired = dataset;
+  FifoMutex* writer = WriterLock(request.dataset);
+  if (writer == nullptr) {
+    return Status::NotFound("unknown dataset: \"" + request.dataset + "\"");
   }
-  return Status::FailedPrecondition(
-      "ingest into \"" + request.dataset +
-      "\" kept racing dataset replacement; giving up");
+  // Held from resolution through Commit, so the batch lands on the
+  // generation that stays registered: no compaction or replacement can
+  // swap it out in between.
+  FifoMutexLock write(writer);
+  DatasetLease lease = AcquireDataset(request.dataset);
+  Dataset* dataset = lease.get();
+  // Adds must use predicates the BASE graph already interned: the
+  // predicate space has embedding rows only for base predicate ids, so a
+  // new predicate would search with undefined semantics. (The overlay
+  // itself allows them — this policy belongs to the serving layer.)
+  for (const IngestOpDto& op : request.ops) {
+    if (!op.retract &&
+        dataset->graph->FindPredicate(op.predicate) == kInvalidSymbol) {
+      return Status::InvalidArgument(
+          "unknown predicate \"" + op.predicate +
+          "\": the dataset's predicate space has no embedding for it");
+    }
+  }
+  Result<uint64_t> epoch = dataset->overlay->Commit(batch);
+  KG_RETURN_NOT_OK(epoch.status());
+  IngestResponse response;
+  response.dataset = request.dataset;
+  response.epoch = epoch.ValueOrDie();
+  response.ops_applied = request.ops.size();
+  return response;
 }
 
 Status KgSession::CompactDataset(const std::string& name) {
-  DatasetLease lease = AcquireDataset(name);
-  if (!lease) {
+  FifoMutex* writer = WriterLock(name);
+  if (writer == nullptr) {
     return Status::NotFound("unknown dataset: \"" + name + "\"");
   }
-  Dataset* dataset = lease.get();
-  // Retire first: from here on no new epoch can be published, so the final
-  // snapshot is THE delta to fold and no committed batch can be lost. The
-  // fold itself runs without any lock held.
-  std::shared_ptr<const DeltaSnapshot> final_delta =
-      dataset->overlay->Retire();
-  if (final_delta == nullptr) {
-    dataset->overlay->Reopen();  // epoch 0: nothing to fold
-    return Status::OK();
+  std::unique_ptr<Dataset> old;
+  {
+    // Held from the snapshot through the swap: no commit can land after
+    // the snapshot, so it is THE delta to fold and no acknowledged batch
+    // is lost.
+    FifoMutexLock write(writer);
+    DatasetLease lease = AcquireDataset(name);
+    Dataset* dataset = lease.get();
+    std::shared_ptr<const DeltaSnapshot> delta = dataset->overlay->Snapshot();
+    if (delta == nullptr) return Status::OK();  // epoch 0: nothing to fold
+    Result<std::unique_ptr<KnowledgeGraph>> folded =
+        FoldDelta(*dataset->graph, delta.get());
+    KG_RETURN_NOT_OK(folded.status());
+    // FoldDelta preserves predicate ids, so the outgoing generation's space
+    // and library keep their meaning — the new generation SHARES them.
+    Result<std::unique_ptr<Dataset>> fresh = BuildDataset(
+        std::move(folded).ValueOrDie(), dataset->space, dataset->library);
+    KG_RETURN_NOT_OK(fresh.status());
+    // Our own lease goes first: the drain below would wait on it.
+    lease.Release();
+    MutexLock lock(&mutex_);
+    old = std::exchange(datasets_[name], std::move(fresh).ValueOrDie());
   }
-  Result<std::unique_ptr<KnowledgeGraph>> folded =
-      FoldDelta(*dataset->graph, final_delta.get());
-  if (!folded.ok()) {
-    dataset->overlay->Reopen();  // keep serving the old state
-    return folded.status();
-  }
-  // FoldDelta preserves predicate ids, so the outgoing generation's space
-  // and library keep their meaning — the new generation SHARES them.
-  Result<std::unique_ptr<Dataset>> fresh = BuildDataset(
-      std::move(folded).ValueOrDie(), dataset->space, dataset->library);
-  if (!fresh.ok()) {
-    dataset->overlay->Reopen();  // keep serving the old state
-    return fresh.status();
-  }
-  // Release our own lease BEFORE the install drains — holding it across
-  // in_use.Wait() would deadlock on ourselves. `expected` pins the swap to
-  // the entry we folded: if a racing ReplaceDataset got there first our
-  // fold is stale and is simply discarded (kFailedPrecondition).
-  const Dataset* expected = dataset;
-  lease.Release();
-  // kFailedPrecondition = lost the race to a concurrent replacement; the
-  // winner's dataset is serving and our fold is simply discarded.
-  return InstallDataset(name, std::move(fresh).ValueOrDie(), /*replace=*/true,
-                        expected);
+  // The writer lock is released before the drain, so an Ingest waits for
+  // the fold and the swap but never for a query.
+  old->in_use.Wait();
+  return Status::OK();
 }
 
 Result<uint64_t> KgSession::DatasetEpoch(const std::string& name) const {

@@ -18,7 +18,7 @@
 // query graph — returns a Status; the facade never KG_CHECK-aborts on user
 // input.
 //
-// Dynamic graphs (ROADMAP item 3): every dataset carries a DeltaOverlay
+// Dynamic graphs: every dataset carries a DeltaOverlay
 // (kg/delta_overlay.h). Ingest() commits mutation batches against it;
 // each query pins the overlay's published snapshot at dataset-resolution
 // time and runs entirely against that one GraphView, so no query ever sees
@@ -26,7 +26,9 @@
 // swaps it in blue-green: the new dataset (sharing the predicate space and
 // transformation library of the old) replaces the registry entry
 // atomically, in-flight queries finish on the old graph under a drain
-// lease, and the old dataset is destroyed only after the drain.
+// lease, and the old dataset is destroyed only after the drain. Writes to
+// one dataset (Ingest, CompactDataset, a replacing install) take turns
+// under its writer lock, in arrival order.
 //
 // Thread-safety: all public methods may be called concurrently. A registry
 // entry can be REPLACED (ReplaceDataset, CompactDataset, LoadDataset with
@@ -139,11 +141,11 @@ class KgSession {
   /// Registers like RegisterDataset, but an existing dataset of the same
   /// name is atomically replaced (blue-green): queries resolving the name
   /// after the swap run on the new dataset, in-flight queries finish on the
-  /// old one, the old delta overlay is retired (pending Ingests fail fast
-  /// and retry onto the new dataset), and the old dataset is destroyed
-  /// after its last lease drains. This is the fix for the registration
-  /// name-collision bug: previously the only choices were kAlreadyExists
-  /// or an unsynchronized unload.
+  /// old one, and the old dataset is destroyed after its last lease drains.
+  /// The swap waits for an Ingest or compaction already under way on the
+  /// name to finish; writes that come after it land on the new dataset.
+  /// This is the fix for the registration name-collision bug: previously
+  /// the only choices were kAlreadyExists or an unsynchronized unload.
   Status ReplaceDataset(const std::string& name,
                         std::unique_ptr<KnowledgeGraph> graph,
                         std::unique_ptr<PredicateSpace> space,
@@ -170,9 +172,10 @@ class KgSession {
   /// already pinned keep their snapshot. Every op must pass CheckIngestOp
   /// (api/protocol.h), and predicates of added triples must already exist
   /// in the dataset (its predicate space has no embedding rows for new
-  /// ones): kInvalidArgument otherwise. A batch that races a
-  /// concurrent compaction/replacement is retried transparently against
-  /// the new registry entry.
+  /// ones): kInvalidArgument otherwise. A batch that races a compaction or
+  /// replacement waits for its swap under the dataset's writer lock, then
+  /// commits to the generation current when it gets the lock; the race
+  /// never fails it.
   Result<IngestResponse> Ingest(const IngestRequest& request);
 
   /// Folds the dataset's delta into a fresh finalized base graph
@@ -181,6 +184,9 @@ class KgSession {
   /// transformation library with the outgoing generation. The new overlay
   /// starts empty at epoch 0. No-op when nothing was ingested. Queries are
   /// never failed by the swap: in-flight ones finish on the old graph.
+  /// Holds the dataset's writer lock from the snapshot it folds through the
+  /// swap, so Ingests wait for the swap and none is lost; against a racing
+  /// ReplaceDataset, whichever runs second sees the other's result.
   Status CompactDataset(const std::string& name);
 
   /// The dataset's current delta epoch (0 = pristine base); kNotFound for
@@ -331,17 +337,18 @@ class KgSession {
                          std::unique_ptr<PredicateSpace> space,
                          TransformationLibrary library, bool replace);
 
-  /// The one registry write path. Installs `dataset` under `name`; an
-  /// existing entry either rejects the install (kAlreadyExists, `replace`
-  /// false) or is swapped out atomically, retired (pending Ingests fail
-  /// fast and retry), drained, and destroyed — on this thread, after every
-  /// lease is gone. `expected` (optional) aborts the swap with
-  /// kFailedPrecondition when the current entry is no longer that pointer
-  /// (compaction's conflict check against a racing replacement).
+  /// Installs `dataset` under `name`. A new name also gets its writer
+  /// lock. An existing entry either rejects the install (kAlreadyExists,
+  /// `replace` false) or is swapped out under the name's writer lock, then
+  /// drained and destroyed — on this thread, after every lease is gone.
   Status InstallDataset(const std::string& name,
-                        std::unique_ptr<Dataset> dataset, bool replace,
-                        const Dataset* expected = nullptr)
+                        std::unique_ptr<Dataset> dataset, bool replace)
       EXCLUDES(mutex_);
+
+  /// The writer lock of a registered `name`; null when unknown, so no
+  /// request can add a lock. Names are never unregistered, so the pointer
+  /// stays valid and the name keeps resolving.
+  FifoMutex* WriterLock(const std::string& name) EXCLUDES(mutex_);
 
   /// The QueryServiceOptions every generation of every dataset serves
   /// with.
@@ -386,6 +393,9 @@ class KgSession {
   mutable Mutex mutex_;
   std::map<std::string, std::unique_ptr<Dataset>> datasets_
       GUARDED_BY(mutex_);
+  /// One writer lock per registered name ("writer" layer in util/mutex.h),
+  /// made by its first install and kept across every swap.
+  std::map<std::string, FifoMutex> writers_ GUARDED_BY(mutex_);
   /// Async requests not yet finished; drained by the destructor before any
   /// dataset or the pool is torn down. It is what keeps a dataset's service
   /// alive while work submitted to it waits in the pool.

@@ -41,7 +41,8 @@ class SemanticWeights {
   /// predicate. Upper-bounds the next traversed weight (Lemma 1). Cached.
   double MaxAdjacentWeight(NodeId u, size_t stage) const;
 
-  /// Number of distinct nodes whose adjacency was materialized.
+  /// Entries of the m(u) memo, which is keyed by (node, stage): a node
+  /// probed at two stages counts twice.
   size_t materialized_nodes() const { return m_cache_.size(); }
 
  private:

@@ -153,11 +153,6 @@ DeltaOverlay::DeltaOverlay(const KnowledgeGraph* base) : base_(base) {
 
 Result<uint64_t> DeltaOverlay::Commit(const MutationBatch& batch) {
   MutexLock lock(&mutex_);
-  if (retired_) {
-    return Status::FailedPrecondition(
-        "delta overlay is retired (dataset compacting or replaced); "
-        "re-resolve the dataset and retry");
-  }
   if (batch.ops.empty()) {
     return Status::InvalidArgument("empty mutation batch");
   }
@@ -193,22 +188,6 @@ std::shared_ptr<const DeltaSnapshot> DeltaOverlay::Snapshot() const {
 uint64_t DeltaOverlay::epoch() const {
   MutexLock lock(&mutex_);
   return published_ ? published_->epoch : 0;
-}
-
-std::shared_ptr<const DeltaSnapshot> DeltaOverlay::Retire() {
-  MutexLock lock(&mutex_);
-  retired_ = true;
-  return published_;
-}
-
-void DeltaOverlay::Reopen() {
-  MutexLock lock(&mutex_);
-  retired_ = false;
-}
-
-bool DeltaOverlay::retired() const {
-  MutexLock lock(&mutex_);
-  return retired_;
 }
 
 Result<std::unique_ptr<KnowledgeGraph>> FoldDelta(const KnowledgeGraph& base,

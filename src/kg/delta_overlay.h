@@ -1,4 +1,4 @@
-// Live mutation for a finalized knowledge graph (ROADMAP item 3).
+// Live mutation for a finalized knowledge graph.
 //
 // A DeltaOverlay is the single writer-side entry point for post-finalize
 // mutation. It keeps the base KnowledgeGraph untouched and accumulates an
@@ -29,9 +29,11 @@
 // a from-scratch build with the same id order), which the session layer
 // swaps in blue-green (api/session.h) and the overlay starts empty again.
 //
-// Thread safety: Commit/Snapshot/Retire are safe to call concurrently from
-// any threads. The overlay mutex is a leaf in the repo lock order (see
-// util/mutex.h); nothing is acquired while it is held.
+// Thread safety: Commit/Snapshot are safe to call concurrently from any
+// threads. The overlay mutex is a leaf in the repo lock order (see
+// util/mutex.h); nothing is acquired while it is held. The session orders
+// a dataset's commits against its compaction with the dataset's writer
+// lock (api/session.h), so a fold never races a commit.
 #ifndef KGSEARCH_KG_DELTA_OVERLAY_H_
 #define KGSEARCH_KG_DELTA_OVERLAY_H_
 
@@ -92,8 +94,8 @@ class DeltaOverlay {
 
   /// Validates and applies the whole batch, then publishes a new snapshot
   /// and returns its epoch. All-or-nothing: on any error (kNotFound for
-  /// retracting a triple that does not exist, kFailedPrecondition when the
-  /// overlay is retired) nothing is published and the overlay is unchanged.
+  /// retracting a triple that does not exist, kInvalidArgument for an empty
+  /// batch) nothing is published and the overlay is unchanged.
   /// Adding a triple that already exists is an idempotent no-op within an
   /// otherwise valid batch; re-adding a retracted base triple un-retracts
   /// it.
@@ -108,24 +110,9 @@ class DeltaOverlay {
 
   const KnowledgeGraph& base() const { return *base_; }
 
-  // ----- compaction protocol (api/session.h drives this) -----
-
-  /// Permanently stops writes (further Commits fail kFailedPrecondition)
-  /// and returns the final snapshot to fold. Idempotent. Callers fold
-  /// WITHOUT holding any overlay lock — retirement guarantees the snapshot
-  /// can no longer change.
-  std::shared_ptr<const DeltaSnapshot> Retire();
-
-  /// Re-opens a retired overlay (compaction failed and the dataset keeps
-  /// serving the old state). No-op when not retired.
-  void Reopen();
-
-  bool retired() const;
-
  private:
   const KnowledgeGraph* const base_;
   mutable Mutex mutex_;
-  bool retired_ GUARDED_BY(mutex_) = false;
   std::shared_ptr<const DeltaSnapshot> published_ GUARDED_BY(mutex_);
 };
 

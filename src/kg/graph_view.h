@@ -1,8 +1,8 @@
 // Snapshot read view over a base graph plus an optional delta overlay.
 //
 // The base KnowledgeGraph stays immutable after Finalize(); live mutation
-// (ROADMAP item 3) appends to a DeltaOverlay (kg/delta_overlay.h) which
-// publishes immutable DeltaSnapshot instances, epoch by epoch. A GraphView
+// appends to a DeltaOverlay (kg/delta_overlay.h) which publishes
+// immutable DeltaSnapshot instances, epoch by epoch. A GraphView
 // pairs the base with one pinned snapshot and answers every read the query
 // engines need — adjacency, degrees, type membership, dictionary lookups,
 // triple existence — with the merged result, so a query sees one consistent

@@ -238,39 +238,22 @@ void TcpServer::ServeConnection(Connection* conn) {
   }
 }
 
-namespace {
-
-/// True when the raw line carries an "ingest" JSON *key* (the quoted token
-/// followed by a colon). A plain substring test is not enough: a query for
-/// a dataset literally named "ingest" contains the bytes `"ingest"` as a
-/// string value, but a value is followed by ',' or '}', never ':'. Interior
-/// quotes in JSON strings are escaped, so the quoted token itself cannot be
-/// forged inside a longer string. A line where the key is nested (not the
-/// top-level member) just decodes to a clean error on the ingest path.
-bool LooksLikeIngest(const std::string& line) {
-  size_t pos = 0;
-  while ((pos = line.find("\"ingest\"", pos)) != std::string::npos) {
-    size_t after = pos + std::string_view("\"ingest\"").size();
-    while (after < line.size() &&
-           (line[after] == ' ' || line[after] == '\t')) {
-      ++after;
-    }
-    if (after < line.size() && line[after] == ':') return true;
-    pos = after;
-  }
-  return false;
-}
-
-}  // namespace
-
 bool TcpServer::HandleLine(Connection* conn, const std::string& line) {
   std::string response;
   if (line.rfind("GET", 0) == 0) {
     response = HandleGet(line);
-  } else if (LooksLikeIngest(line)) {
-    response = ExecuteIngest(line);
   } else {
-    response = ExecuteQuery(conn, line);
+    // Scoped so the document is freed before the reply goes out, not while
+    // the client's next request runs.
+    Result<JsonValue> document = ParseWireRequest(line);
+    if (!document.ok()) {
+      response = EncodeErrorJson(document.status());
+    } else if (document.ValueOrDie().is_object() &&
+               document.ValueOrDie().Find("ingest") != nullptr) {
+      response = ExecuteIngest(document.ValueOrDie());
+    } else {
+      response = ExecuteQuery(conn, document.ValueOrDie());
+    }
   }
   return WriteLine(conn->fd, response);
 }
@@ -326,17 +309,21 @@ std::string TcpServer::HandleGet(std::string_view line) {
       std::string(target)));
 }
 
-std::string TcpServer::ExecuteIngest(const std::string& line) {
+std::string TcpServer::ExecuteIngest(const JsonValue& document) {
   // Synchronous on the connection thread: commits are O(|delta|) memory
   // operations, not engine work, so they need neither the pool nor
   // admission. Per-connection ordering also makes the common
   // ingest-then-query script read its own writes.
-  return session_->IngestJson(line);
+  Result<IngestRequest> request = DecodeIngestRequest(document);
+  if (!request.ok()) return EncodeErrorJson(request.status());
+  Result<IngestResponse> response = session_->Ingest(request.ValueOrDie());
+  if (!response.ok()) return EncodeErrorJson(response.status());
+  return EncodeIngestResponseJson(response.ValueOrDie());
 }
 
 std::string TcpServer::ExecuteQuery(Connection* conn,
-                                    const std::string& line) {
-  Result<QueryRequest> request = DecodeQueryRequestJson(line);
+                                    const JsonValue& document) {
+  Result<QueryRequest> request = DecodeQueryRequest(document);
   if (!request.ok()) return EncodeErrorJson(request.status());
   // Through the facade, exactly like an in-process caller: admission,
   // deadline stamping, priority, and counters all behave identically

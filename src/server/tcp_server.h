@@ -4,11 +4,10 @@
 // per line in, one QueryResponse (or {"error":...}) document per line out,
 // answered in request order per connection. Ingest documents
 // ({"v":1,"ingest":{...}} — live mutation batches, api/protocol.h) ride the
-// same framing and are routed by their "ingest" JSON key: the quoted token
-// followed by a colon. The colon check matters — a query for a dataset
-// literally named "ingest" contains the same bytes as a string *value*, and
-// values are never followed by ':'. Two GET-style verbs ride along for
-// operators:
+// same framing: each JSON line is parsed once and routed on whether its
+// top-level object has an "ingest" member, so a query for a dataset
+// literally named "ingest" stays a query. Two GET-style verbs ride along
+// for operators:
 //
 //   GET /healthz          -> {"v":1,"status":"ok",...}
 //   GET /stats            -> per-dataset ServiceStatsSnapshot documents
@@ -128,9 +127,9 @@ class TcpServer {
   /// A GET verb line ("GET /healthz", "GET /stats[/<dataset>]").
   std::string HandleGet(std::string_view line);
   /// Decode -> Submit -> wait (polling for disconnect) -> encode.
-  std::string ExecuteQuery(Connection* conn, const std::string& line);
-  /// An {"v":1,"ingest":{...}} line: decode -> commit -> encode.
-  std::string ExecuteIngest(const std::string& line);
+  std::string ExecuteQuery(Connection* conn, const JsonValue& document);
+  /// An {"v":1,"ingest":{...}} document: decode -> commit -> encode.
+  std::string ExecuteIngest(const JsonValue& document);
   /// One dataset's stats document, with the interval rate filled in.
   Result<JsonValue> DatasetStats(const std::string& name);
 

@@ -2,36 +2,38 @@
 // std::mutex / std::condition_variable primitives are allowed to appear
 // (tools/check_invariants.py rejects them anywhere else in src/).
 //
-// Mutex / MutexLock / CondVar carry the Clang Thread Safety Analysis
-// attributes from util/thread_annotations.h, so a Clang build proves, at
-// compile time and over every path, that each GUARDED_BY field is only
-// touched with its lock held and every REQUIRES contract is honored.
-// Under other compilers they behave identically and the annotations
-// vanish.
+// Mutex / FifoMutex / their scoped locks / CondVar carry the Clang Thread
+// Safety Analysis attributes from util/thread_annotations.h, so a Clang
+// build proves, at compile time and over every path, that each GUARDED_BY
+// field is only touched with its lock held and every REQUIRES contract is
+// honored. Under other compilers they behave identically and the
+// annotations vanish.
 //
 // ---------------------------------------------------------------------
 // Cross-class lock ordering (acquire strictly left to right):
 //
-//     server  (TcpServer::conn_mutex_, StatsRateTracker::mutex_)
-//   → session (KgSession::mutex_, the dataset registry)
-//   → overlay (DeltaOverlay::mutex_: writer serialization + snapshot
-//              publication for one dataset's live-mutation delta)
-//   → service (QueryService's caches: LruCache::mutex_)
-//   → pool    (ThreadPool::mutex_, WaitGroup::mutex_)
+//     server   (TcpServer::conn_mutex_, StatsRateTracker::mutex_)
+//   → writer   (KgSession::writers_: one FifoMutex per dataset name, held
+//               by its ingests, compactions and replacing installs)
+//   → registry (KgSession::mutex_, the dataset registry)
+//   → overlay  (DeltaOverlay::mutex_: snapshot publication for one
+//               dataset's live-mutation delta)
+//   → service  (QueryService's caches: LruCache::mutex_)
+//   → pool     (ThreadPool::mutex_, WaitGroup::mutex_)
 //
 // A thread holding a lock from a lower layer must never acquire one from
 // a higher layer: connection threads may take the registry lock while
-// serving a line, the registry lock may be held while an overlay snapshot
-// is pinned (dataset resolution) or a service's cache lock is taken
-// (registration), and anything may enqueue on the pool — but pool
-// workers and cache code never reach back up into server or session
-// locks. The overlay lock is effectively a leaf: Commit/Snapshot/Retire
-// do pure data work and acquire nothing while holding it; compaction
-// retires the overlay (releasing its lock) BEFORE folding and before
-// taking the registry lock to swap, precisely so overlay → session never
-// occurs. No two locks of the SAME layer are ever held together (each
-// service's caches are independent; each dataset's overlay is
-// independent; WaitGroup and ThreadPool locks nest only pool-internally,
+// serving a line, a dataset's writer takes the registry lock to resolve
+// and swap the dataset, the registry lock may be held while an overlay
+// snapshot is pinned (dataset resolution) or a service's cache lock is
+// taken (registration), and anything may enqueue on the pool — but pool
+// workers and cache code never reach back up into server, writer or
+// registry locks. A writer lock is found under the registry lock but
+// taken only after that lock is released. The overlay lock is effectively
+// a leaf: Commit/Snapshot do pure data work and acquire nothing while
+// holding it. No two locks of the SAME layer are ever held together (each
+// dataset's writer lock and overlay are independent; each service's caches
+// are independent; WaitGroup and ThreadPool locks nest only pool-internally,
 // via Submit-side tracking that takes them one at a time). This ordering
 // makes the whole stack deadlock-free by construction; document any new
 // lock's layer here before adding it.
@@ -41,6 +43,8 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
+#include <cstdint>
 #include <mutex>
 
 #include "util/thread_annotations.h"
@@ -119,6 +123,60 @@ class CondVar {
 
  private:
   std::condition_variable cv_;
+};
+
+/// Exclusive lock that admits waiters in the order they arrived: a ticket
+/// lock built from Mutex and CondVar. Mutex promises no order, so a thread
+/// that re-locks in a loop can keep another waiting for as long as the
+/// loop runs; here no thread that called Lock() later is admitted first.
+/// Prefer FifoMutexLock for scoped acquisition.
+class CAPABILITY("mutex") FifoMutex {
+ public:
+  FifoMutex() = default;
+  FifoMutex(const FifoMutex&) = delete;
+  FifoMutex& operator=(const FifoMutex&) = delete;
+
+  void Lock() ACQUIRE() {
+    MutexLock lock(&mu_);
+    const uint64_t ticket = next_ticket_++;
+    while (serving_ != ticket) cv_.Wait(&mu_);
+  }
+
+  void Unlock() RELEASE() {
+    {
+      MutexLock lock(&mu_);
+      ++serving_;
+    }
+    cv_.NotifyAll();
+  }
+
+  /// Threads blocked in Lock() behind the holder (a load signal, racy by
+  /// nature; tests read it to know a waiter has queued).
+  size_t waiters() const EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    return next_ticket_ == serving_
+               ? 0
+               : static_cast<size_t>(next_ticket_ - serving_ - 1);
+  }
+
+ private:
+  mutable Mutex mu_;
+  CondVar cv_;
+  uint64_t next_ticket_ GUARDED_BY(mu_) = 0;  ///< handed to the next Lock()
+  uint64_t serving_ GUARDED_BY(mu_) = 0;      ///< the ticket that holds it
+};
+
+/// RAII lock on a FifoMutex, held for the enclosing scope.
+class SCOPED_CAPABILITY FifoMutexLock {
+ public:
+  explicit FifoMutexLock(FifoMutex* mu) ACQUIRE(mu) : mu_(mu) { mu_->Lock(); }
+  ~FifoMutexLock() RELEASE() { mu_->Unlock(); }
+
+  FifoMutexLock(const FifoMutexLock&) = delete;
+  FifoMutexLock& operator=(const FifoMutexLock&) = delete;
+
+ private:
+  FifoMutex* const mu_;
 };
 
 }  // namespace kgsearch

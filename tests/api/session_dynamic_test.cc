@@ -1,7 +1,7 @@
 // Dynamic-graph facade tests: live ingest through the session (epoch
 // visibility, validation, wire form), atomic blue-green replacement with
-// drain (the name-collision bugfix), compaction folding, and the
-// replace_existing load path.
+// drain (the name-collision bugfix), compaction folding, writes racing a
+// compaction, and the replace_existing load path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,7 +11,9 @@
 #include <vector>
 
 #include "api/session.h"
+#include "gen/scale_kg.h"
 #include "testing/car_fixture.h"
+#include "util/clock.h"
 #include "util/json.h"
 
 namespace kgsearch {
@@ -39,6 +41,32 @@ IngestRequest AddCar(const std::string& name) {
   request.ops.push_back(std::move(op));
   return request;
 }
+
+/// Car parts whose graph also holds `marker` (an Automobile assembled in
+/// Germany), so a test can tell which replacement a generation came from.
+CarParts MarkedCarParts(const std::string& marker) {
+  CarParts parts = MakeCarParts();
+  std::unique_ptr<KnowledgeGraph> marked;
+  {
+    DeltaOverlay overlay(parts.graph.get());
+    MutationBatch batch;
+    batch.ops.push_back(
+        Mutation::Add(marker, "assembly", "Germany", "Automobile"));
+    EXPECT_TRUE(overlay.Commit(batch).ok());
+    marked = FoldDelta(*parts.graph, overlay.Snapshot().get()).ValueOrDie();
+  }
+  parts.graph = std::move(marked);
+  return parts;
+}
+
+/// Jumps 1 s on every read, so a wall-clock budget runs out at once.
+class JumpingClock : public Clock {
+ public:
+  int64_t NowMicros() const override { return now_.fetch_add(1'000'000); }
+
+ private:
+  mutable std::atomic<int64_t> now_{0};
+};
 
 bool Contains(const std::vector<std::string>& names,
               const std::string& name) {
@@ -290,6 +318,104 @@ TEST(SessionCompactTest, CompactionAtEpochZeroIsANoop) {
   EXPECT_EQ(session.graph("cars"), old_graph);  // no swap happened
   EXPECT_TRUE(session.Ingest(AddCar("VW_Golf")).ok());  // not left retired
   EXPECT_EQ(session.CompactDataset("nope").code(), StatusCode::kNotFound);
+}
+
+TEST(SessionCompactTest, IngestDuringCompactionWaitsForTheSwap) {
+  // One thread ingests back to back while the test compacts. A batch that
+  // arrives mid-fold waits for the swap under the dataset's writer lock
+  // and lands on the new generation: it never fails, however long the
+  // fold takes by the session's clock, and none is lost.
+  JumpingClock clock;
+  KgSession session(KgSessionOptions{}, &clock);
+  Result<DatasetSnapshot> built = BuildScaleKgInMemory(ScaleSpecFor(10'000));
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  DatasetSnapshot& parts = built.ValueOrDie();
+  const std::string predicate(parts.graph->PredicateName(0));
+  const std::string tail(parts.graph->NodeName(0));
+  const size_t base_edges = parts.graph->NumEdges();
+  ASSERT_TRUE(session
+                  .RegisterDataset("scale", std::move(parts.graph),
+                                   std::move(parts.space),
+                                   std::move(parts.library))
+                  .ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> acked{0};
+  std::atomic<uint64_t> failed{0};
+  std::string first_failure;  // written by the ingest thread only
+  std::thread ingester([&] {
+    for (uint64_t b = 0; !stop.load(); ++b) {
+      IngestRequest request;
+      request.dataset = "scale";
+      for (int o = 0; o < 4; ++o) {
+        IngestOpDto op;
+        op.head = "fresh_" + std::to_string(b) + "_" + std::to_string(o);
+        op.predicate = predicate;
+        op.tail = tail;
+        request.ops.push_back(std::move(op));
+      }
+      Result<IngestResponse> response = session.Ingest(request);
+      if (response.ok()) {
+        acked.fetch_add(1);
+      } else if (failed.fetch_add(1) == 0) {
+        first_failure = response.status().ToString();
+      }
+    }
+  });
+  for (int c = 0; c < 5; ++c) {
+    // Wait for a new batch, so every compaction has a delta to fold.
+    const uint64_t seen = acked.load();
+    while (acked.load() == seen && failed.load() == 0) {
+      std::this_thread::yield();
+    }
+    EXPECT_TRUE(session.CompactDataset("scale").ok());
+  }
+  stop = true;
+  ingester.join();
+  ASSERT_TRUE(session.CompactDataset("scale").ok());
+  EXPECT_EQ(failed.load(), 0u) << first_failure;
+  EXPECT_EQ(session.graph("scale")->NumEdges(),
+            base_edges + 4 * acked.load());
+}
+
+TEST(SessionCompactTest, ReplaceRacingCompactionBothSucceed) {
+  // Ingest-then-compact loops race replacements. Whichever writer runs
+  // second sees the other's result: every call returns OK, and the graph
+  // left registered comes from the last replacement, never from a fold of
+  // a generation that was replaced.
+  KgSession session;
+  ASSERT_TRUE(RegisterCars(&session).ok());
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> compactions{0};
+  std::atomic<uint64_t> failed{0};
+  std::thread compactor([&] {
+    for (int i = 0; !stop.load(); ++i) {
+      if (!session.Ingest(AddCar("Ingested_" + std::to_string(i))).ok() ||
+          !session.CompactDataset("cars").ok()) {
+        failed.fetch_add(1);
+      }
+      compactions.fetch_add(1);
+    }
+  });
+  constexpr int kReplacements = 20;
+  for (int r = 0; r < kReplacements; ++r) {
+    const uint64_t seen = compactions.load();
+    while (compactions.load() == seen) std::this_thread::yield();
+    CarParts parts = MarkedCarParts("Marker_" + std::to_string(r));
+    EXPECT_TRUE(session
+                    .ReplaceDataset("cars", std::move(parts.graph),
+                                    std::move(parts.space),
+                                    std::move(parts.library))
+                    .ok());
+  }
+  stop = true;
+  compactor.join();
+  EXPECT_EQ(failed.load(), 0u);
+  const KnowledgeGraph* graph = session.graph("cars");
+  EXPECT_NE(graph->FindNode("Marker_" + std::to_string(kReplacements - 1)),
+            kInvalidNode);
+  EXPECT_EQ(graph->FindNode("Marker_" + std::to_string(kReplacements - 2)),
+            kInvalidNode);
 }
 
 TEST(SessionLoadTest, ReplaceExistingControlsTheCollisionOutcome) {

@@ -44,7 +44,6 @@ TEST(DeltaOverlayTest, EpochZeroBeforeFirstCommit) {
   DeltaOverlay overlay(base.get());
   EXPECT_EQ(overlay.epoch(), 0u);
   EXPECT_EQ(overlay.Snapshot(), nullptr);
-  EXPECT_FALSE(overlay.retired());
 }
 
 TEST(DeltaOverlayTest, CommitsPublishMonotoneEpochs) {
@@ -146,28 +145,6 @@ TEST(DeltaOverlayTest, BatchOpsSeeEachOther) {
       view.HasTriple(d, view.FindPredicate("lives_in"), view.FindNode("C")));
   EXPECT_FALSE(
       view.HasTriple(d, view.FindPredicate("knows"), view.FindNode("A")));
-}
-
-TEST(DeltaOverlayTest, RetireStopsWritesAndReopenResumesThem) {
-  std::unique_ptr<KnowledgeGraph> base = MakeBase();
-  DeltaOverlay overlay(base.get());
-  ASSERT_TRUE(overlay.Commit(One(Mutation::Add("D", "knows", "A"))).ok());
-
-  std::shared_ptr<const DeltaSnapshot> final_delta = overlay.Retire();
-  ASSERT_NE(final_delta, nullptr);
-  EXPECT_EQ(final_delta->epoch, 1u);
-  EXPECT_TRUE(overlay.retired());
-  EXPECT_EQ(overlay.Commit(One(Mutation::Add("E", "knows", "A")))
-                .status()
-                .code(),
-            StatusCode::kFailedPrecondition);
-  // Reads keep working on a retired overlay.
-  EXPECT_EQ(overlay.Snapshot()->epoch, 1u);
-
-  overlay.Reopen();
-  EXPECT_FALSE(overlay.retired());
-  EXPECT_TRUE(overlay.Commit(One(Mutation::Add("E", "knows", "A"))).ok());
-  EXPECT_EQ(overlay.epoch(), 2u);
 }
 
 // ----- FoldDelta -----
